@@ -4,15 +4,12 @@ array data on a 2-D grid."""
 __version__ = "0.1.0"
 
 from .arrays import (
-    hadamard,
-    multi_index,
     read_dta1,
     rho,
     rho_chain,
     rho_transposed,
     rho_transposed_chain,
     vec,
-    vec_index,
     write_dta1,
 )
 from .bases import (

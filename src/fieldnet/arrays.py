@@ -14,44 +14,11 @@ adjoint, used for gradient evaluation.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import ShapeError
-
-
-def vec_index(index, shape):
-    """Map a 1-based multi-index to its 1-based column-major position.
-
-    The first index varies fastest: for a two-dimensional shape
-    ``(N1, N2)`` the pair ``(i1, i2)`` maps to ``i1 + (i2 - 1) * N1``.
-    """
-    index = tuple(int(i) for i in index)
-    shape = tuple(int(n) for n in shape)
-    if len(index) != len(shape):
-        raise ShapeError(f"index arity {len(index)} != array order {len(shape)}")
-    linear = 0
-    stride = 1
-    for i, n in zip(index, shape):
-        if not 1 <= i <= n:
-            raise IndexError(f"index {index} out of bounds for shape {shape}")
-        linear += (i - 1) * stride
-        stride *= n
-    return linear + 1
-
-
-def multi_index(linear, shape):
-    """Inverse of :func:`vec_index` (both 1-based)."""
-    shape = tuple(int(n) for n in shape)
-    total = int(np.prod(shape))
-    linear = int(linear)
-    if not 1 <= linear <= total:
-        raise IndexError(f"linear index {linear} out of bounds for shape {shape}")
-    rem = linear - 1
-    out = []
-    for n in shape:
-        out.append(rem % n + 1)
-        rem //= n
-    return tuple(out)
 
 
 def vec(a):
@@ -134,15 +101,6 @@ def rho_transposed_chain(factors, b):
     return out
 
 
-def hadamard(a, b):
-    """Elementwise product of two identically shaped arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 # -- DTA1 on-disk format ----------------------------------------------------
 #
 # One ASCII header line "DTA1 d N1 ... Nd\n" followed by the raw
@@ -160,17 +118,32 @@ def write_dta1(path, a):
 
 
 def read_dta1(path):
-    """Read a DTA1 file back into an array."""
+    """Read a DTA1 file back into an array.
+
+    Raises :class:`ShapeError` for a malformed file: a wrong magic, a
+    missing, non-integer or negative order or dimension, a dimension count
+    that differs from the order, or a payload of the wrong size.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if not header or header[0] != "DTA1":
-            raise ValueError(f"{path}: not a DTA1 file")
-        order = int(header[1])
-        dims = [int(t) for t in header[2:]]
-        if len(dims) != order:
-            raise ValueError(f"{path}: header announces {order} dims, lists {len(dims)}")
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    expected = int(np.prod(dims))
-    if payload.size != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {payload.size}")
-    return payload.reshape(dims, order="F").astype(np.float64)
+        header = fh.readline()
+        payload = fh.read()
+    try:
+        fields = header.decode("ascii").split()
+    except UnicodeDecodeError:
+        fields = []
+    if not fields or fields[0] != "DTA1":
+        raise ShapeError(f"{path}: not a DTA1 file")
+    try:
+        numbers = [int(t) for t in fields[1:]]
+    except ValueError:
+        raise ShapeError(f"{path}: header fields must be integers: {header!r}") from None
+    if not numbers or min(numbers) < 0:
+        raise ShapeError(f"{path}: header needs a non-negative order and dims: {header!r}")
+    order, dims = numbers[0], numbers[1:]
+    if len(dims) != order:
+        raise ShapeError(f"{path}: header announces {order} dims, lists {len(dims)}")
+    expected = prod(dims)
+    if len(payload) != 8 * expected:
+        raise ShapeError(f"{path}: expected {expected} values, found {len(payload)} bytes")
+    values = np.frombuffer(payload, dtype="<f8")
+    return values.reshape(dims, order="F").astype(np.float64)

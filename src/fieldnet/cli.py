@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -170,9 +169,20 @@ def _write_fit_artifacts(out_dir, result, suffix=""):
     return outputs
 
 
-def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None, threads=None):
+def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     grid = make_grid(cfg)
     basis = make_basis(cfg)
+    pen_cfg = cfg.sections["penalty"]
+    n_lambdas = pen_cfg["n_lambdas"]
+    if n_lambdas < 1:
+        raise ConfigError(f"[penalty] n_lambdas: must be at least 1, got {n_lambdas}")
+    use_mrce = cfg.get("solver", "mrce", False)
+    if lambda_index is None:
+        lambda_index = cfg.get("solver", "mrce_lambda_index")
+    if lambda_index is not None and not 0 <= lambda_index < n_lambdas:
+        raise ConfigError(
+            f"lambda index {lambda_index} is outside the penalty path [0, {n_lambdas})"
+        )
     if data_path is None:
         data_path = cfg.get("io", "data")
         if data_path is None:
@@ -185,31 +195,20 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None, threads
         )
     design = build_design(data, basis, response=cfg.get("solver", "response", "levels"))
     opts = make_solver_options(cfg)
-    pen_cfg = cfg.sections["penalty"]
     stim_w = stimulus_weights(cfg, basis)
     probe = PenaltySpec(np.array([1.0]), weights_stimulus=stim_w)
     lam_max = lambda_max(design, probe.weights_for(basis))
-    path = default_lambda_path(lam_max, pen_cfg["n_lambdas"], pen_cfg["lambda_min_ratio"])
+    path = default_lambda_path(lam_max, n_lambdas, pen_cfg["lambda_min_ratio"])
     penalty = PenaltySpec(lambda_path=path, weights_stimulus=stim_w, nu=pen_cfg["nu"])
 
     started = time.perf_counter()
-    use_mrce = cfg.get("solver", "mrce", False)
-    if threads is None:
-        threads = cfg.get("solver", "threads")
-    workers = int(threads) if threads else None
     try:
         if use_mrce:
-            mrce_idx = cfg.get("solver", "mrce_lambda_index", lambda_index)
-            mrce = mrce_loop(design, penalty, opts, lambda_index=mrce_idx,
-                             max_workers=workers)
+            mrce = mrce_loop(design, penalty, opts, lambda_index=lambda_index)
             result = mrce.second
             omega = mrce.precision.omega
         else:
-            if workers:
-                result = fit_block_relaxation(design, penalty, options=opts,
-                                              warm_start=False, max_workers=workers)
-            else:
-                result = fit_block_relaxation(design, penalty, options=opts)
+            result = fit_block_relaxation(design, penalty, options=opts)
             mrce = None
             omega = None
     except DivergenceError as exc:
@@ -339,9 +338,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="configuration file (INI or JSON)")
         p.add_argument("--out", help="output directory (overrides [io] out_dir)")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for cold-start penalty paths "
-                            "(env FIELDNET_THREADS overrides)")
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data and ground truth")
     common(p_sim)
@@ -349,7 +345,9 @@ def _build_parser():
     p_fit = sub.add_parser("fit", help="estimate drift components from a data tensor")
     common(p_fit)
     p_fit.add_argument("--data", help="input DTA1 tensor (overrides [io] data)")
-    p_fit.add_argument("--lambda-index", type=int, help="path index for the precision step")
+    p_fit.add_argument("--lambda-index", type=int,
+                       help="path index for the precision step "
+                            "(overrides [solver] mrce_lambda_index)")
     p_fit.add_argument("--truth-beta", help="ground-truth network DTA1 for support scoring")
 
     p_sum = sub.add_parser(
@@ -372,12 +370,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out) if args.out else Path(cfg.get("io", "out_dir"))
-        threads = os.environ.get("FIELDNET_THREADS", args.threads)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "fit":
             return cmd_fit(cfg, args.data, out_dir, lambda_index=args.lambda_index,
-                           truth_beta=args.truth_beta, threads=threads)
+                           truth_beta=args.truth_beta)
         if args.command == "summarize":
             return cmd_summarize(cfg, args.fit, out_dir, lambda_index=args.lambda_index)
         parser.error(f"unknown command {args.command}")

@@ -42,7 +42,7 @@ _SCHEMA = {
         "tol_inner": float, "max_inner": int, "tol_outer": float,
         "max_sweeps": int, "tol_rank1": float, "max_rank1": int,
         "kkt_tol_factor": float, "mrce": bool, "mrce_lambda_index": int,
-        "response": str, "threads": int,
+        "response": str,
     },
     "penalty": {
         "n_lambdas": int, "lambda_min_ratio": float, "nu": float,

@@ -11,6 +11,9 @@ evaluated through mode transforms on small marginal factors:
 * memory block: a Hadamard product of the one-step-lagged data with the
   spatial field spanned by ``gamma``.
 
+Each part is a :class:`_KronBlock`; :func:`linear_predictor`, :func:`gradient`
+and the solver all act with the design through these blocks.
+
 The response for modeled frame ``k`` is observation frame ``k + 1``; by
 default the lagged frame enters as a fixed offset so the fitted
 coefficients describe the frame-to-frame increment.
@@ -73,7 +76,6 @@ class ImplicitDesign:
     phi_xyt: np.ndarray
     offset: Optional[np.ndarray] = None
     omega: Optional[np.ndarray] = None
-    omega_sqrt: Optional[np.ndarray] = None
 
     @property
     def grid(self):
@@ -86,17 +88,8 @@ class ImplicitDesign:
             return self.response
         return self.response - self.offset
 
-    def with_omega(self, omega, omega_sqrt=None):
-        return replace(self, omega=omega, omega_sqrt=omega_sqrt)
-
-    def weight_frames(self, field):
-        """Left-multiply each frame by the precision matrix, if any."""
-        if self.omega is None:
-            return field
-        d = self.grid.n_pixels
-        m = self.grid.n_steps
-        flat = field.reshape(d, m, order="F")
-        return (self.omega @ flat).reshape(field.shape, order="F")
+    def with_omega(self, omega):
+        return replace(self, omega=omega)
 
 
 def build_design(data, basis, response="levels"):
@@ -129,22 +122,83 @@ def build_design(data, basis, response="levels"):
     )
 
 
-def memory_frames(coeffs_or_gamma, design):
-    """Memory block predictor: lagged data times the spatial field."""
-    gamma = getattr(coeffs_or_gamma, "gamma", coeffs_or_gamma)
-    basis = design.basis
-    field = rho_chain([basis.phi_x, basis.phi_y], np.asarray(gamma, dtype=np.float64))
-    return design.v_lag1 * field[:, :, None]
+class _KronBlock:
+    """One design block: a chain of mode factors, optionally followed by a
+    Hadamard multiplier, acting on a coefficient array.
+
+    A multiplier with more modes than the factor chain repeats the chain's
+    output along its trailing modes; the adjoint sums over them.
+    """
+
+    def __init__(self, name, factors, coef_shape, kron_shape=None, multiplier=None):
+        self.name = name
+        self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
+        self.coef_shape = tuple(coef_shape)
+        self.kron_shape = tuple(kron_shape) if kron_shape is not None else self.coef_shape
+        self.multiplier = multiplier
+        self._repeat = 0 if multiplier is None else multiplier.ndim - len(self.factors)
+
+    def predict(self, coef):
+        arr = np.asarray(coef, dtype=np.float64).reshape(self.kron_shape, order="F")
+        out = rho_chain(self.factors, arr)
+        if self.multiplier is not None:
+            out = out.reshape(out.shape + (1,) * self._repeat) * self.multiplier
+        return out
+
+    def adjoint(self, fieldarr):
+        arr = fieldarr
+        if self.multiplier is not None:
+            arr = arr * self.multiplier
+            if self._repeat:
+                arr = arr.sum(axis=tuple(range(-self._repeat, 0)))
+        out = rho_transposed_chain(self.factors, arr)
+        return out.reshape(self.coef_shape, order="F")
+
+
+def stimulus_block(design):
+    b = design.basis
+    return _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], (b.p_x, b.p_y, b.p_t))
+
+
+def network_block(design):
+    b = design.basis
+    return _KronBlock(
+        "network",
+        [b.int_x, b.int_y, design.phi_xyt],
+        (b.p_x, b.p_y, b.p_x, b.p_y, b.p_l),
+        kron_shape=(b.p_x, b.p_y, b.p_x * b.p_y * b.p_l),
+    )
+
+
+def memory_block(design):
+    b = design.basis
+    return _KronBlock("memory", [b.phi_x, b.phi_y], (b.p_x, b.p_y), multiplier=design.v_lag1)
+
+
+def _design_blocks(design):
+    return {
+        "stimulus": stimulus_block(design),
+        "network": network_block(design),
+        "memory": memory_block(design),
+    }
+
+
+def weight_frames(fieldarr, omega):
+    """Left-multiply each frame by the precision matrix ``omega``, if any."""
+    if omega is None:
+        return fieldarr
+    d = omega.shape[0]
+    flat = fieldarr.reshape(d, -1, order="F")
+    return (omega @ flat).reshape(fieldarr.shape, order="F")
 
 
 def linear_predictor(coeffs, design):
     """Sum of the three design block actions, shape ``(n_x, n_y, M)``."""
-    basis = design.basis
-    coeffs.validate(basis)
-    s_part = rho_chain([basis.phi_x, basis.phi_y, basis.phi_t], coeffs.alpha)
-    beta3 = coeffs.beta.reshape(basis.p_x, basis.p_y, -1, order="F")
-    f_part = rho_chain([basis.int_x, basis.int_y, design.phi_xyt], beta3)
-    return s_part + f_part + memory_frames(coeffs, design)
+    coeffs.validate(design.basis)
+    blocks = _design_blocks(design)
+    return (blocks["stimulus"].predict(coeffs.alpha)
+            + blocks["network"].predict(coeffs.beta)
+            + blocks["memory"].predict(coeffs.gamma))
 
 
 def gradient(residual, design):
@@ -154,21 +208,18 @@ def gradient(residual, design):
     :class:`DriftCoefficients`; the gradient of the squared-error loss at
     the point with residual ``r`` is the negative of this.
     """
-    basis = design.basis
     residual = np.asarray(residual, dtype=np.float64)
     if residual.shape != design.response.shape:
         raise ShapeError(
             f"residual has shape {residual.shape}, expected {design.response.shape}"
         )
-    weighted = design.weight_frames(residual)
-    g_alpha = rho_transposed_chain([basis.phi_x, basis.phi_y, basis.phi_t], weighted)
-    g_beta3 = rho_transposed_chain([basis.int_x, basis.int_y, design.phi_xyt], weighted)
-    g_beta = g_beta3.reshape(
-        basis.p_x, basis.p_y, basis.p_x, basis.p_y, basis.p_l, order="F"
+    weighted = weight_frames(residual, design.omega)
+    blocks = _design_blocks(design)
+    return DriftCoefficients(
+        alpha=blocks["stimulus"].adjoint(weighted),
+        beta=blocks["network"].adjoint(weighted),
+        gamma=blocks["memory"].adjoint(weighted),
     )
-    summed = (design.v_lag1 * weighted).sum(axis=2)
-    g_gamma = rho_transposed_chain([basis.phi_x, basis.phi_y], summed)
-    return DriftCoefficients(alpha=g_alpha, beta=g_beta, gamma=g_gamma)
 
 
 def model_parameter_count(p_x, p_y, p_t, p_l):

@@ -18,17 +18,24 @@ refit on precision-weighted data.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .arrays import rho_chain, rho_transposed_chain
+from .arrays import rho_chain
 from .bases import DriftCoefficients
-from .design import linear_predictor
+from .design import (  # noqa: F401  (network_block is re-exported)
+    _design_blocks,
+    _KronBlock,
+    gradient,
+    linear_predictor,
+    network_block,
+    stimulus_block,
+    weight_frames,
+)
 from .errors import DivergenceError
-from .precision import graphical_lasso, matrix_sqrt_psd
+from .precision import graphical_lasso
 
 
 def soft_threshold(value, threshold):
@@ -140,44 +147,6 @@ def stimulus_weight_profile(spec_t, onset, offset, window, low_weight=0.1):
 # -- component fits -----------------------------------------------------------
 
 
-class _KronBlock:
-    """One design block: a chain of mode factors, optionally followed by a
-    Hadamard multiplier, acting on a coefficient array."""
-
-    def __init__(self, name, factors, coef_shape, kron_shape=None, multiplier=None):
-        self.name = name
-        self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
-        self.coef_shape = tuple(coef_shape)
-        self.kron_shape = tuple(kron_shape) if kron_shape is not None else self.coef_shape
-        self.multiplier = multiplier
-
-    @property
-    def size(self):
-        return int(np.prod(self.coef_shape))
-
-    def predict(self, coef):
-        arr = np.asarray(coef, dtype=np.float64).reshape(self.kron_shape, order="F")
-        out = rho_chain(self.factors, arr)
-        if self.multiplier is not None:
-            out = out * self.multiplier
-        return out
-
-    def adjoint(self, fieldarr):
-        arr = fieldarr
-        if self.multiplier is not None:
-            arr = arr * self.multiplier
-        out = rho_transposed_chain(self.factors, arr)
-        return out.reshape(self.coef_shape, order="F")
-
-
-def _apply_omega(fieldarr, omega):
-    if omega is None:
-        return fieldarr
-    d = omega.shape[0]
-    flat = fieldarr.reshape(d, -1, order="F")
-    return (omega @ flat).reshape(fieldarr.shape, order="F")
-
-
 def _half_sq(resid, omega):
     if omega is None:
         return 0.5 * float(np.vdot(resid, resid))
@@ -196,7 +165,7 @@ def power_lipschitz(block, omega=None, iterations=60, seed=0):
     v /= norm
     est = 0.0
     for _ in range(iterations):
-        w = block.adjoint(_apply_omega(block.predict(v), omega))
+        w = block.adjoint(weight_frames(block.predict(v), omega))
         est = float(np.linalg.norm(w))
         if est <= 0.0:
             return 0.0
@@ -256,7 +225,7 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
 
     def smooth_grad(theta):
         resid = target - block.predict(theta)
-        return _half_sq(resid, omega), -block.adjoint(_apply_omega(resid, omega))
+        return _half_sq(resid, omega), -block.adjoint(weight_frames(resid, omega))
 
     def penalty(theta):
         return lam * float(np.sum(weights * np.abs(theta)))
@@ -344,44 +313,6 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     return ComponentFit(x, f_best, np.asarray(trace), n_iter, converged, kkt_res, kkt_pass)
 
 
-# -- design blocks ------------------------------------------------------------
-
-
-def stimulus_block(design):
-    b = design.basis
-    return _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], (b.p_x, b.p_y, b.p_t))
-
-
-def network_block(design):
-    b = design.basis
-    return _KronBlock(
-        "network",
-        [b.int_x, b.int_y, design.phi_xyt],
-        (b.p_x, b.p_y, b.p_x, b.p_y, b.p_l),
-        kron_shape=(b.p_x, b.p_y, b.p_x * b.p_y * b.p_l),
-    )
-
-
-def memory_block(design):
-    b = design.basis
-    ones_t = np.ones((b.grid.n_steps, 1))
-    return _KronBlock(
-        "memory",
-        [b.phi_x, b.phi_y, ones_t],
-        (b.p_x, b.p_y),
-        kron_shape=(b.p_x, b.p_y, 1),
-        multiplier=design.v_lag1,
-    )
-
-
-def _design_blocks(design):
-    return {
-        "stimulus": stimulus_block(design),
-        "network": network_block(design),
-        "memory": memory_block(design),
-    }
-
-
 def standardized_weights(design):
     """Per-coefficient penalty weights equal to the design column norms.
 
@@ -413,17 +344,15 @@ def lambda_max(design, weights=None):
     Computed as the largest weighted gradient entry of the smooth loss at
     the zero coefficient vector; an all-zero target gives zero.
     """
-    blocks = _design_blocks(design)
     if weights is None:
         weights = PenaltySpec(np.array([1.0])).weights_for(design.basis)
-    weighted = _apply_omega(design.target, design.omega)
+    grad = gradient(design.target, design)
     out = 0.0
-    for name, block in blocks.items():
-        g = np.abs(block.adjoint(weighted))
+    for name, g in (("stimulus", grad.alpha), ("network", grad.beta), ("memory", grad.gamma)):
         w = np.broadcast_to(weights[name], g.shape)
         mask = w > 0
         if mask.any():
-            out = max(out, float((g[mask] / w[mask]).max()))
+            out = max(out, float((np.abs(g[mask]) / w[mask]).max()))
     return out
 
 
@@ -445,7 +374,7 @@ class Rank1Fit:
 def _rank1_init(design, target):
     """Leading separable direction of the stimulus-block gradient at zero."""
     block = stimulus_block(design)
-    g = block.adjoint(_apply_omega(target, design.omega))
+    g = block.adjoint(weight_frames(target, design.omega))
     b = design.basis
     mat = g.reshape(b.p_x * b.p_y, b.p_t, order="F")
     _, _, vt = np.linalg.svd(mat, full_matrices=False)
@@ -609,26 +538,27 @@ class MrceResult:
     lambda_index: int
 
 
-def fit_penalized(design, lam, penalty_weights=None, omega=None, options=None,
-                  warm=None, lipschitz=None):
+def _block_lipschitz(blocks, omega, opts):
+    """Step-size constants of the network and memory blocks.  The rank-one
+    stimulus computes its own from the factor Gram matrices."""
+    return {name: power_lipschitz(blocks[name], omega, opts.power_iterations)
+            for name in ("network", "memory")}
+
+
+def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
+                  lipschitz=None):
     """Block-relaxed fit of all three components at one penalty level.
 
     ``lam`` may be zero (pure least squares).  ``warm`` is an optional
     ``DriftCoefficients`` whose rank-one factors seed the stimulus.
     """
     opts = options or SolverOptions()
-    if omega is not None:
-        design = design.with_omega(omega)
     basis = design.basis
     if penalty_weights is None:
         penalty_weights = PenaltySpec(np.array([1.0])).weights_for(basis)
     blocks = _design_blocks(design)
     if lipschitz is None:
-        lipschitz = {
-            name: power_lipschitz(block, design.omega, opts.power_iterations)
-            for name, block in blocks.items()
-            if name != "stimulus"
-        }
+        lipschitz = _block_lipschitz(blocks, design.omega, opts)
     target = design.target
 
     if warm is None:
@@ -719,45 +649,20 @@ def fit_penalized(design, lam, penalty_weights=None, omega=None, options=None,
     )
 
 
-def fit_block_relaxation(design, penalty, omega=None, options=None, warm_start=True,
-                         max_workers=None):
-    """Fit the whole penalty path.
-
-    Sequential fits reuse the previous solution as a warm start; with
-    ``warm_start=False`` the fits are independent (cold starts) and may
-    run concurrently when ``max_workers`` is set.
-    """
+def fit_block_relaxation(design, penalty, options=None):
+    """Fit the whole penalty path, each level warm-started from the
+    previous level's solution."""
     opts = options or SolverOptions()
-    if omega is not None:
-        design = design.with_omega(omega)
     weights = penalty.weights_for(design.basis)
-    blocks = _design_blocks(design)
-    lipschitz = {
-        name: power_lipschitz(block, design.omega, opts.power_iterations)
-        for name, block in blocks.items()
-        if name != "stimulus"
-    }
-
-    path = penalty.lambda_path
-    fits = [None] * path.size
-    if warm_start or max_workers in (None, 0, 1):
-        warm = None
-        for i, lam in enumerate(path):
-            fits[i] = fit_penalized(design, lam, weights, None, opts,
-                                    warm=warm if warm_start else None,
-                                    lipschitz=lipschitz)
-            if warm_start:
-                warm = fits[i].coeffs
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(fit_penalized, design, lam, weights, None, opts, None,
-                            lipschitz): i
-                for i, lam in enumerate(path)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                fits[futures[fut]] = fut.result()
-    return FitResult(lambda_path=path.copy(), fits=fits, omega=design.omega)
+    lipschitz = _block_lipschitz(_design_blocks(design), design.omega, opts)
+    fits = []
+    warm = None
+    for lam in penalty.lambda_path:
+        fits.append(fit_penalized(design, lam, weights, opts, warm=warm,
+                                  lipschitz=lipschitz))
+        warm = fits[-1].coeffs
+    return FitResult(lambda_path=penalty.lambda_path.copy(), fits=fits,
+                     omega=design.omega)
 
 
 def residual_covariance(design, coeffs):
@@ -768,7 +673,7 @@ def residual_covariance(design, coeffs):
     return (flat @ flat.T) / design.grid.n_steps
 
 
-def mrce_loop(design, penalty, options=None, lambda_index=None, max_workers=None):
+def mrce_loop(design, penalty, options=None, lambda_index=None):
     """Two-round estimation: fit, estimate the noise precision from the
     residual covariance by graphical lasso, then refit on weighted data.
 
@@ -778,18 +683,17 @@ def mrce_loop(design, penalty, options=None, lambda_index=None, max_workers=None
     length and dynamic range of the original path.
     """
     opts = options or SolverOptions()
-    first = fit_block_relaxation(design, penalty, None, opts, max_workers=max_workers)
+    first = fit_block_relaxation(design, penalty, opts)
     idx = penalty.lambda_path.size // 2 if lambda_index is None else int(lambda_index)
     sigma_r = residual_covariance(design, first.fits[idx].coeffs)
     prec = graphical_lasso(sigma_r, penalty.nu)
-    omega_sqrt = matrix_sqrt_psd(prec.omega)
-    design2 = design.with_omega(prec.omega, omega_sqrt)
+    design2 = design.with_omega(prec.omega)
 
     lam_max2 = lambda_max(design2, penalty.weights_for(design.basis))
     ratio = penalty.lambda_path[-1] / penalty.lambda_path[0]
     path2 = default_lambda_path(lam_max2, penalty.lambda_path.size, ratio)
     penalty2 = replace(penalty, lambda_path=path2)
-    second = fit_block_relaxation(design2, penalty2, None, opts, max_workers=max_workers)
+    second = fit_block_relaxation(design2, penalty2, opts)
     return MrceResult(first=first, sigma_residual=sigma_r, precision=prec,
                       second=second, lambda_index=idx)
 

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fieldnet.arrays import (
-    hadamard,
-    multi_index,
     read_dta1,
     rho,
     rho_chain,
@@ -13,52 +9,10 @@ from fieldnet.arrays import (
     rho_transposed_chain,
     unvec,
     vec,
-    vec_index,
     write_dta1,
 )
 from fieldnet.errors import ShapeError
 from oracles import kron_matrix
-
-shapes = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
-
-
-class TestVecIndex:
-    def test_origin_maps_to_first_slot(self):
-        assert vec_index((1, 1), (3, 4)) == 1
-
-    def test_first_index_fastest(self):
-        # 2 + (3 - 1) * 3, frozen against exhaustive enumeration below
-        assert vec_index((2, 3), (3, 4)) == 8
-
-    def test_full_enumeration_is_permutation(self):
-        hits = [vec_index((i, j, k), (2, 2, 2))
-                for k in (1, 2) for j in (1, 2) for i in (1, 2)]
-        assert sorted(hits) == list(range(1, 9))
-
-    @given(shapes, st.randoms(use_true_random=False))
-    @settings(max_examples=100, deadline=None)
-    def test_bijection_and_inverse(self, shape, rnd):
-        idx = tuple(rnd.randint(1, n) for n in shape)
-        linear = vec_index(idx, shape)
-        assert 1 <= linear <= int(np.prod(shape))
-        assert multi_index(linear, shape) == idx
-
-    def test_linear_matches_column_major_ravel(self):
-        a = np.arange(24.0).reshape(2, 3, 4)
-        flat = vec(a)
-        assert flat[vec_index((2, 3, 1), (2, 3, 4)) - 1] == a[1, 2, 0]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            vec_index((0, 1), (3, 4))
-        with pytest.raises(IndexError):
-            vec_index((4, 1), (3, 4))
-        with pytest.raises(IndexError):
-            multi_index(13, (3, 4))
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ShapeError):
-            vec_index((1, 1, 1), (3, 4))
 
 
 class TestRho:
@@ -128,25 +82,6 @@ class TestRhoTransposed:
     def test_shape_error(self, rng):
         with pytest.raises(ShapeError):
             rho_transposed(rng.standard_normal((3, 2)), rng.standard_normal((2, 2)))
-
-
-class TestHadamard:
-    def test_ones_and_zeros(self, rng):
-        a = rng.standard_normal((3, 2))
-        assert np.array_equal(hadamard(a, np.ones((3, 2))), a)
-        assert np.array_equal(hadamard(a, np.zeros((3, 2))), np.zeros((3, 2)))
-
-    def test_scalar_loop_oracle(self, rng):
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2))
-        got = hadamard(a, b)
-        for i in range(2):
-            for j in range(2):
-                assert got[i, j] == a[i, j] * b[i, j]
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestDta1:

@@ -232,3 +232,65 @@ class TestFitAndSummarize:
         assert main(["summarize", "--config", str(QUICKSTART),
                      "--fit", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s")]) == 2
+
+
+def mrce_config(tmp_path, lambda_index):
+    text = QUICKSTART.read_text().replace(
+        "mrce = false", f"mrce = true\nmrce_lambda_index = {lambda_index}")
+    path = tmp_path / "mrce.ini"
+    path.write_text(text)
+    return path
+
+
+def assert_single_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+MALFORMED_DTA1 = {
+    "wrong-magic": b"NOPE\n",
+    "non-ascii-header": b"\xff\xfe 3\n",
+    "missing-order": b"DTA1\n",
+    "non-integer-order": b"DTA1 x 3\n",
+    "non-integer-dimension": b"DTA1 3 6 six 84\n",
+    "negative-dimension": b"DTA1 2 -1 -1\n" + b"\0" * 8,
+    "dimension-count-differs-from-order": b"DTA1 3 6 6\n" + b"\0" * 8 * 36,
+    "payload-too-short": b"DTA1 3 6 6 84\n" + b"\0" * 8,
+    "payload-partial-value": b"DTA1 1 1\n" + b"\0" * 3,
+}
+
+
+class TestFitInputErrors:
+    @pytest.mark.parametrize("raw", list(MALFORMED_DTA1.values()), ids=list(MALFORMED_DTA1))
+    def test_malformed_data_file_exits_2(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.dta1"
+        bad.write_bytes(raw)
+        code = main(["fit", "--config", str(QUICKSTART),
+                     "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
+    def test_empty_penalty_path_exits_2(self, pipeline, tmp_path, capsys):
+        sim, _, _ = pipeline
+        path = write_config(tmp_path, n_lambdas="0")
+        code = main(["fit", "--config", str(path),
+                     "--data", str(sim / "data.dta1"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
+    @pytest.mark.parametrize("index", [-1, 5, 9])
+    def test_mrce_lambda_index_outside_path_exits_2(self, pipeline, tmp_path, capsys, index):
+        sim, _, _ = pipeline
+        code = main(["fit", "--config", str(mrce_config(tmp_path, index)),
+                     "--data", str(sim / "data.dta1"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
+    def test_lambda_index_flag_overrides_config(self, pipeline, tmp_path):
+        sim, _, _ = pipeline
+        out = tmp_path / "o"
+        code = main(["fit", "--config", str(mrce_config(tmp_path, 0)), "--lambda-index", "2",
+                     "--data", str(sim / "data.dta1"), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mrce"]["lambda_index"] == 2

@@ -259,19 +259,10 @@ class TestBlockRelaxation:
         design = build_design(data, basis)
         penalty = PenaltySpec(default_lambda_path(lambda_max(design), 6, 1e-2))
         warm = fit_block_relaxation(design, penalty)
-        cold = fit_block_relaxation(design, penalty, warm_start=False)
+        cold = [fit_penalized(design, lam, warm=None) for lam in penalty.lambda_path]
         warm_iters = sum(f.total_iterations for f in warm.fits)
-        cold_iters = sum(f.total_iterations for f in cold.fits)
+        cold_iters = sum(f.total_iterations for f in cold)
         assert warm_iters <= cold_iters
-
-    def test_parallel_cold_path_matches_sequential_cold(self, rng):
-        _, basis, _, design = tiny_instance(rng)
-        penalty = PenaltySpec(default_lambda_path(lambda_max(design), 4, 1e-1))
-        seq = fit_block_relaxation(design, penalty, warm_start=False)
-        par = fit_block_relaxation(design, penalty, warm_start=False, max_workers=3)
-        for a, b in zip(seq.fits, par.fits):
-            assert np.array_equal(a.coeffs.beta, b.coeffs.beta)
-            assert np.array_equal(a.coeffs.alpha, b.coeffs.alpha)
 
 
 class TestPenaltySpec:
