@@ -81,46 +81,39 @@ def uniform_bspline_spec(degree, n_basis, lo, hi):
     return BSplineSpec(degree, tuple(knots))
 
 
-def _find_span(knots, degree, n_basis, x):
-    # Largest i with knots[i] <= x, clipped to the non-empty spans.
-    span = int(np.searchsorted(knots, x, side="right")) - 1
-    return min(max(span, degree), n_basis - 1)
-
-
-def _nonzero_basis(knots, degree, span, x):
-    # Triangular Cox-de Boor scheme; returns values of the degree+1
-    # functions with indices span-degree .. span.
-    vals = np.ones(degree + 1)
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
-    for j in range(1, degree + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            tmp = vals[r] / (right[r + 1] + left[j - r])
-            vals[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        vals[j] = saved
-    return vals
-
-
 def eval_bspline_basis(spec, points):
     """Evaluate every basis function at ``points``.
 
-    Returns a ``len(points) x n_basis`` matrix.  Each row has at most
-    ``degree + 1`` non-zeros and sums to one (partition of unity); the
-    right endpoint is treated as part of the last span.
+    Returns a ``len(points) x n_basis`` matrix (N-d ``points`` are
+    flattened).  Each row has at most ``degree + 1`` non-zeros and sums to
+    one (partition of unity); the right endpoint is treated as part of the
+    last span.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64).ravel()
     lo, hi = spec.domain
-    out = np.zeros((pts.size, spec.n_basis))
+    outside = (pts < lo) | (pts > hi)
+    if outside.any():
+        raise DomainError(f"point {pts[outside][0]} outside basis domain [{lo}, {hi}]")
+    p = spec.degree
     knots = np.asarray(spec.knots)
-    for r, x in enumerate(pts.ravel()):
-        if x < lo or x > hi:
-            raise DomainError(f"point {x} outside basis domain [{lo}, {hi}]")
-        span = _find_span(knots, spec.degree, spec.n_basis, x)
-        out[r, span - spec.degree : span + 1] = _nonzero_basis(knots, spec.degree, span, x)
+    # Largest i with knots[i] <= x, clipped to the non-empty spans.
+    span = np.clip(np.searchsorted(knots, pts, side="right") - 1, p, spec.n_basis - 1)
+    # Triangular Cox-de Boor scheme over all points at once; column r of
+    # ``vals`` ends up holding function span - p + r.
+    vals = np.ones((pts.size, p + 1))
+    left = np.empty((pts.size, p + 1))
+    right = np.empty((pts.size, p + 1))
+    for j in range(1, p + 1):
+        left[:, j] = pts - knots[span + 1 - j]
+        right[:, j] = knots[span + j] - pts
+        saved = np.zeros(pts.size)
+        for r in range(j):
+            tmp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
+            vals[:, r] = saved + right[:, r + 1] * tmp
+            saved = left[:, j - r] * tmp
+        vals[:, j] = saved
+    out = np.zeros((pts.size, spec.n_basis))
+    out[np.arange(pts.size)[:, None], span[:, None] + np.arange(-p, 1)] = vals
     return out
 
 
@@ -410,32 +403,28 @@ class DriftCoefficients:
         }
 
 
-def _marginal_rows(spec, values):
-    return eval_bspline_basis(spec, np.atleast_1d(values))
-
-
 def stimulus_values(coeffs, basis, x, y, t):
     """Evaluate ``s`` at matched coordinate arrays."""
-    bx = _marginal_rows(basis.spec_x, x)
-    by = _marginal_rows(basis.spec_y, y)
-    bt = _marginal_rows(basis.spec_t, t)
+    bx = eval_bspline_basis(basis.spec_x, x)
+    by = eval_bspline_basis(basis.spec_y, y)
+    bt = eval_bspline_basis(basis.spec_t, t)
     return np.einsum("ni,nj,nk,ijk->n", bx, by, bt, coeffs.alpha)
 
 
 def network_values(coeffs, basis, x, y, x_src, y_src, lag):
     """Evaluate ``w`` at matched target/source/delay coordinate arrays."""
-    bx = _marginal_rows(basis.spec_x, x)
-    by = _marginal_rows(basis.spec_y, y)
-    bxs = _marginal_rows(basis.spec_x, x_src)
-    bys = _marginal_rows(basis.spec_y, y_src)
-    bl = _marginal_rows(basis.spec_l, lag)
+    bx = eval_bspline_basis(basis.spec_x, x)
+    by = eval_bspline_basis(basis.spec_y, y)
+    bxs = eval_bspline_basis(basis.spec_x, x_src)
+    bys = eval_bspline_basis(basis.spec_y, y_src)
+    bl = eval_bspline_basis(basis.spec_l, lag)
     return np.einsum("na,nb,nc,nd,ne,abcde->n", bx, by, bxs, bys, bl, coeffs.beta)
 
 
 def memory_values(coeffs, basis, x, y):
     """Evaluate ``h`` at matched coordinate arrays."""
-    bx = _marginal_rows(basis.spec_x, x)
-    by = _marginal_rows(basis.spec_y, y)
+    bx = eval_bspline_basis(basis.spec_x, x)
+    by = eval_bspline_basis(basis.spec_y, y)
     return np.einsum("ni,nj,ij->n", bx, by, coeffs.gamma)
 
 

@@ -90,6 +90,10 @@ def _generate_truth(cfg, basis, rng):
 def _noise_model(cfg, grid):
     sim = cfg.sections["simulate"]
     kind = sim["noise"]
+    if sim["noise_scale"] < 0:
+        raise ConfigError(f"[simulate] noise_scale: must be non-negative, got {sim['noise_scale']}")
+    if sim["noise_length"] <= 0:
+        raise ConfigError(f"[simulate] noise_length: must be positive, got {sim['noise_length']}")
     if kind == "none" or sim["noise_scale"] == 0:
         return None
     if kind == "white":
@@ -378,7 +382,7 @@ def main(argv=None):
         if args.command == "summarize":
             return cmd_summarize(cfg, args.fit, out_dir, lambda_index=args.lambda_index)
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, InvalidCovarianceError, FieldnetError, np.linalg.LinAlgError) as exc:

@@ -109,7 +109,10 @@ def load_config(path):
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw = path.read_bytes()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     stripped = text.lstrip()
     sections = {}
     if stripped.startswith("{"):

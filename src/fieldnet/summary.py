@@ -17,16 +17,13 @@ from .arrays import rho_chain
 from .bases import eval_bspline_basis
 
 
-def evaluate_network_grid(beta, basis, lag_points=None):
+def evaluate_network_grid(beta, basis):
     """Propagation weight at target centers x source centers x lag nodes.
 
-    Returns ``(n_x, n_y, n_x, n_y, L)`` with lag nodes defaulting to the
-    lag-interval midpoints.
+    Returns ``(n_x, n_y, n_x, n_y, L)`` with the lag-interval midpoints as
+    lag nodes.
     """
-    grid = basis.grid
-    if lag_points is None:
-        lag_points = grid.lag_midpoints
-    phi_lag = eval_bspline_basis(basis.spec_l, lag_points)
+    phi_lag = eval_bspline_basis(basis.spec_l, basis.grid.lag_midpoints)
     return rho_chain([basis.phi_x, basis.phi_y, basis.phi_x, basis.phi_y, phi_lag],
                      np.asarray(beta, dtype=np.float64))
 
@@ -77,29 +74,6 @@ class SeparationProfile:
     table: np.ndarray  # (len(s_values), len(t_values))
 
 
-def _masked_network_eval(beta, basis, x, y, x_src, y_src, lag):
-    """Weight values with out-of-domain target points contributing zero."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    x_src = np.broadcast_to(x_src, x.shape).ravel()
-    y_src = np.broadcast_to(y_src, y.shape).ravel()
-    x = x.ravel()
-    y = y.ravel()
-    x_lo, x_hi = basis.spec_x.domain
-    y_lo, y_hi = basis.spec_y.domain
-    ok = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
-    out = np.zeros(x.size)
-    if ok.any():
-        bx = eval_bspline_basis(basis.spec_x, x[ok])
-        by = eval_bspline_basis(basis.spec_y, y[ok])
-        bxs = eval_bspline_basis(basis.spec_x, x_src[ok])
-        bys = eval_bspline_basis(basis.spec_y, y_src[ok])
-        bl = eval_bspline_basis(basis.spec_l, [lag])[0]
-        out[ok] = np.einsum("na,nb,nc,nd,e,abcde->n", bx, by, bxs, bys, bl,
-                            np.asarray(beta, dtype=np.float64))
-    return out
-
-
 def compute_separation_profile(beta, basis, s_values=None, t_values=None, n_theta=64):
     """Aggregated weight as a function of spatial separation and delay.
 
@@ -119,22 +93,35 @@ def compute_separation_profile(beta, basis, s_values=None, t_values=None, n_thet
     s_values = np.asarray(s_values, dtype=np.float64)
     t_values = np.asarray(t_values, dtype=np.float64)
 
+    # Sources are the grid centers, so beta contracts with their bases and
+    # with the lag basis once: (source x, source y, target coefficients, delay).
+    phi_lag = eval_bspline_basis(basis.spec_l, t_values)
+    src = np.einsum("ic,jd,te,abcde->ijabt", basis.phi_x, basis.phi_y, phi_lag,
+                    np.asarray(beta, dtype=np.float64), optimize=True)
+
     angles = np.arange(n_theta) * (2 * np.pi / n_theta)
     cos_a, sin_a = np.cos(angles), np.sin(angles)
-    xs = np.repeat(grid.x_centers, grid.n_y)
-    ys = np.tile(grid.y_centers, grid.n_x)
+
+    def circle_rows(spec, centers, offsets):
+        # Basis rows at every (center, angle) circle coordinate, zeroed
+        # where the coordinate leaves the window: (n_centers, n_theta, p).
+        lo, hi = spec.domain
+        coord = centers[:, None] + offsets
+        rows = eval_bspline_basis(spec, np.clip(coord, lo, hi))
+        inside = (coord >= lo) & (coord <= hi)
+        return rows.reshape(*coord.shape, -1) * inside[..., None]
 
     table = np.zeros((s_values.size, t_values.size))
     for si, s in enumerate(s_values):
-        px = xs[:, None] + s * cos_a[None, :]
-        py = ys[:, None] + s * sin_a[None, :]
-        src_x = np.broadcast_to(xs[:, None], px.shape)
-        src_y = np.broadcast_to(ys[:, None], py.shape)
-        for ti, t in enumerate(t_values):
-            vals = _masked_network_eval(beta, basis, px, py, src_x, src_y, t)
-            # curve integral: arc weight s * 2 pi / n_theta, then the outer
-            # Riemann sum over source cells
-            table[si, ti] = vals.sum() * s * (2 * np.pi / n_theta) * grid.cell_area
+        # Circle point (i, j, k) is (x_i + s cos, y_j + s sin), so its
+        # tensor-product row factors into one x row and one y row.
+        bx = circle_rows(basis.spec_x, grid.x_centers, s * cos_a)
+        by = circle_rows(basis.spec_y, grid.y_centers, s * sin_a)
+        # curve integral over each source's circle (arc weight
+        # s * 2 pi / n_theta), then the outer Riemann sum over source cells
+        on_circle = np.einsum("ika,jkb->ijab", bx, by)
+        table[si] = (np.einsum("ijab,ijabt->t", on_circle, src)
+                     * s * (2 * np.pi / n_theta) * grid.cell_area)
     return SeparationProfile(s_values=s_values, t_values=t_values, table=table)
 
 

@@ -71,6 +71,16 @@ class TestEvaluation:
             got = eval_bspline_basis(spec, [x])[0]
             want = deboor_row(spec, x)
             assert np.abs(got - want).max() < 1e-12
+        # one call per degree over random points, every knot and both
+        # endpoints, given as a 2-D array: rows follow the flattened points
+        for degree in (0, 1, 2, 3):
+            spec = uniform_bspline_spec(degree, degree + 5, -1.0, 2.0)
+            pts = np.concatenate([rng.uniform(-1.0, 2.0, 12), spec.knots, [-1.0, 2.0]])
+            rng.shuffle(pts)
+            rows = eval_bspline_basis(spec, pts.reshape(-1, 2))
+            assert rows.shape == (pts.size, spec.n_basis)
+            for x, got in zip(pts, rows):
+                assert np.abs(got - deboor_row(spec, x)).max() < 1e-12
 
     def test_domain_error(self):
         spec = uniform_bspline_spec(1, 3, 0.0, 1.0)

@@ -142,6 +142,18 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("noise", [
+        "noise = white\nnoise_scale = -0.3",
+        "noise = gaussian\nnoise_scale = 0.3\nnoise_length = 0",
+        "noise = white\nnoise_scale = 0.3\nnoise_length = -1",
+    ], ids=["negative-scale", "gaussian-zero-length", "negative-length"])
+    def test_bad_noise_settings_exit_2(self, tmp_path, capsys, noise):
+        path = tmp_path / "noise.ini"
+        path.write_text(QUICKSTART.read_text().replace("noise = white\nnoise_scale = 0.3", noise))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -267,6 +279,22 @@ class TestFitInputErrors:
         bad.write_bytes(raw)
         code = main(["fit", "--config", str(QUICKSTART),
                      "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[run]\nseed = 1\n")
+        code = main(["fit", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
+    @pytest.mark.parametrize("flag", ["--data", "--config"])
+    def test_directory_given_as_file_exits_2(self, tmp_path, capsys, flag):
+        paths = {"--config": str(QUICKSTART), "--data": str(tmp_path / "data.dta1")}
+        paths[flag] = str(tmp_path)
+        code = main(["fit", "--config", paths["--config"], "--data", paths["--data"],
+                     "--out", str(tmp_path / "o")])
         assert code == 2
         assert_single_error_line(capsys)
 

@@ -106,10 +106,24 @@ class TestSeparationProfile:
 
     def test_matches_direct_loop(self, rng):
         grid, basis = summary_basis(n=4)
-        beta = sparse_beta(rng, basis)
-        s_vals = np.array([0.8, 1.6])
-        t_vals = np.array([-0.15, -0.05])
-        n_theta = 16
+        self.assert_matches_direct_loop(grid, basis, sparse_beta(rng, basis),
+                                        np.array([0.8, 1.6]), np.array([-0.15, -0.05]))
+        # non-square grid and basis, so a swapped pixel or mode order shows;
+        # both radii carry edge circles out of the window
+        grid = Grid(n_x=4, n_y=3, n_steps=6, n_lags=3, dt=0.1,
+                    x_range=(0.0, 4.0), y_range=(0.0, 1.5))
+        basis = build_basis_set(
+            grid,
+            uniform_bspline_spec(2, 5, *grid.x_range),
+            uniform_bspline_spec(2, 3, *grid.y_range),
+            uniform_bspline_spec(1, 2, 0.0, grid.duration),
+            uniform_bspline_spec(1, 2, -grid.tau, 0.0),
+        )
+        self.assert_matches_direct_loop(grid, basis, sparse_beta(rng, basis, k=12),
+                                        np.array([0.4, 1.3]), np.array([-0.25, -0.1, 0.0]))
+
+    @staticmethod
+    def assert_matches_direct_loop(grid, basis, beta, s_vals, t_vals, n_theta=16):
         prof = compute_separation_profile(beta, basis, s_vals, t_vals, n_theta)
         from fieldnet.bases import network_values
 
