@@ -143,6 +143,13 @@ def _lambda_fit_payload(fit):
     }
 
 
+def _warn_unconverged(result, max_sweeps, label="lambda index"):
+    for i, fit in enumerate(result.fits):
+        if not fit.converged_outer:
+            print(f"warning: {label} {i} did not converge within max_sweeps = {max_sweeps}",
+                  file=sys.stderr)
+
+
 def build_report(result, basis, grid):
     """Deterministic fit report: traces, sparsity, parameter counts."""
     return {
@@ -222,6 +229,13 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
         _write_manifest(out_dir, "fit", cfg, ["report.json", "manifest.json"])
         raise
     elapsed = time.perf_counter() - started
+    _warn_unconverged(result, opts.max_sweeps)
+    if mrce is not None:
+        _warn_unconverged(mrce.first, opts.max_sweeps, label="first-round lambda index")
+        if not mrce.precision.converged:
+            print(f"warning: graphical lasso did not converge within "
+                  f"{mrce.precision.n_sweeps} sweeps (dual gap {mrce.precision.dual_gap:.3g})",
+                  file=sys.stderr)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = _write_fit_artifacts(out_dir, result)
@@ -235,6 +249,8 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             "lambda_index": mrce.lambda_index,
             "precision_nonzero": mrce.precision.n_nonzero,
             "precision_converged": mrce.precision.converged,
+            "precision_dual_gap": float(mrce.precision.dual_gap),
+            "precision_sweeps": int(mrce.precision.n_sweeps),
             "first_round": build_report(mrce.first, basis, grid),
         }
     if truth_beta is not None:

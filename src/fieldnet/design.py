@@ -49,15 +49,13 @@ def compute_convolution_tensor(data, basis, n_lags=None):
         raise ValueError(
             f"insufficient history: need at least {n_steps + n_lags} frames, got {data.shape[2]}"
         )
-    # Contract the spatial modes once for all frames, then fold each lag
-    # window against the lag integrals.
+    # Contract the spatial modes once for all frames, then fold every lag
+    # window (frames k-L .. k-1 of the model clock) against the lag integrals.
     spatial = rho_chain([basis.phi_x.T, basis.phi_y.T], data)  # (frames, p_x, p_y)
-    rows = np.empty((n_steps, basis.p_x * basis.p_y * basis.p_l))
-    for k in range(n_steps):
-        window = spatial[k : k + n_lags]  # frames k-L .. k-1 of the model clock
-        block = np.einsum("wab,wq->abq", window, basis.int_l)
-        rows[k] = block.ravel(order="F")
-    return rows
+    windows = np.lib.stride_tricks.sliding_window_view(spatial, n_lags, axis=0)[:n_steps]
+    rows = np.einsum("kabw,wq->kabq", windows, basis.int_l)
+    # column-major order of (a, b, q) within each row
+    return rows.transpose(0, 3, 2, 1).reshape(n_steps, -1)
 
 
 @dataclass(frozen=True)

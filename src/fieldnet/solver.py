@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import rho_chain
 from .bases import DriftCoefficients
 from .design import (  # noqa: F401  (network_block is re-exported)
     _design_blocks,
@@ -54,8 +53,10 @@ class SolverOptions:
     tol_rank1: float = 1e-6
     max_rank1: int = 50
     kkt_tol_factor: float = 1e-4
-    kkt_check_every: int = 25
-    power_iterations: int = 60
+
+
+# Iterations between KKT checks once the objective has stalled.
+KKT_CHECK_EVERY = 25
 
 
 @dataclass
@@ -148,11 +149,7 @@ def stimulus_weight_profile(spec_t, onset, offset, window, low_weight=0.1):
 
 
 def _half_sq(resid, omega):
-    if omega is None:
-        return 0.5 * float(np.vdot(resid, resid))
-    d = omega.shape[0]
-    flat = resid.reshape(d, -1, order="F")
-    return 0.5 * float(np.sum(flat * (omega @ flat)))
+    return 0.5 * float(np.vdot(resid, weight_frames(resid, omega)))
 
 
 def power_lipschitz(block, omega=None, iterations=60, seed=0):
@@ -230,7 +227,7 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     def penalty(theta):
         return lam * float(np.sum(weights * np.abs(theta)))
 
-    lip = power_lipschitz(block, omega, opts.power_iterations) if lipschitz is None else lipschitz
+    lip = power_lipschitz(block, omega) if lipschitz is None else lipschitz
     if lip <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
         coef = np.zeros(block.coef_shape) if lam > 0 else x
@@ -249,7 +246,7 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     n_iter = 0
     converged = False
     kkt_res, kkt_pass = np.inf, False
-    last_kkt_check = -opts.kkt_check_every
+    last_kkt_check = -KKT_CHECK_EVERY
 
     for it in range(1, opts.max_inner + 1):
         n_iter = it
@@ -297,7 +294,7 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
                 kkt_res, kkt_pass = float(np.abs(g).max()), True
                 converged = True
                 break
-            if it - last_kkt_check >= opts.kkt_check_every:
+            if it - last_kkt_check >= KKT_CHECK_EVERY:
                 last_kkt_check = it
                 _, g = smooth_grad(x)
                 kkt_res, kkt_pass = kkt_residual(g, x, lam, weights, opts.kkt_tol_factor)
@@ -394,11 +391,13 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     """Rank-one stimulus fit by alternating weighted lassos.
 
     The stimulus coefficients are constrained to ``alpha[i,j,k] =
-    zeta[k] * eta[i,j]``.  Fixing one factor reduces the problem to a
-    weighted lasso for the other (the fixed factor is absorbed into the
-    design and the penalty weights); alternation makes the joint
-    objective non-increasing.  Returns a collapsed (all-zero) stimulus
-    with a flag when either factor vanishes.
+    zeta[k] * eta[i,j]``.  With one factor fixed, the loss is a scaled
+    least-squares problem for the other on a contracted target: the eta
+    step fits the spatial field to ``sum_k g_k T_k / |g|^2`` (``g = phi_t
+    zeta``) on one frame; the zeta step fits the time profile to ``c_k =
+    <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
+    Alternation makes the joint objective non-increasing.  Returns a
+    collapsed (all-zero) stimulus with a flag when either factor vanishes.
     """
     opts = options or SolverOptions()
     basis = design.basis
@@ -419,19 +418,16 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         zeta = zeta / nz
         eta = eta * nz
 
-    omega_norm = 1.0
-    if omega is not None:
-        omega_norm = float(np.linalg.eigvalsh(omega).max())
-    lip_x = _gram_norm(basis.phi_x)
-    lip_y = _gram_norm(basis.phi_y)
-    lip_t = _gram_norm(basis.phi_t)
-    ones_x = np.ones((basis.grid.n_x, 1))
-    ones_y = np.ones((basis.grid.n_y, 1))
+    omega_norm = 1.0 if omega is None else float(np.linalg.eigvalsh(omega).max())
+    space = _KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], (basis.p_x, basis.p_y))
+    times = _KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,))
+    lip_space = _gram_norm(basis.phi_x) * _gram_norm(basis.phi_y) * omega_norm
+    lip_times = _gram_norm(basis.phi_t)
+    stimulus = stimulus_block(design)
 
     def joint_objective(z, e):
         alpha = np.einsum("k,ij->ijk", z, e)
-        block = stimulus_block(design)
-        resid = target - block.predict(alpha)
+        resid = target - stimulus.predict(alpha)
         return _half_sq(resid, omega) + lam * float(np.sum(weights * np.abs(alpha)))
 
     obj = joint_objective(zeta, eta)
@@ -440,53 +436,39 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     collapsed = False
     n_alt = 0
     for n_alt in range(1, opts.max_rank1 + 1):
-        profile = basis.phi_t @ zeta  # temporal signal implied by zeta
-        if not profile.any():
+        profile = times.predict(zeta)
+        scale = float(profile @ profile)
+        if scale == 0.0:
             collapsed = True
-            eta = np.zeros_like(eta)
             break
-        eta_block = _KronBlock(
-            "stimulus-eta",
-            [basis.phi_x, basis.phi_y, profile[:, None]],
-            (basis.p_x, basis.p_y),
-            kron_shape=(basis.p_x, basis.p_y, 1),
-        )
         w_eta = np.einsum("ijk,k->ij", weights, np.abs(zeta))
-        lip_eta = float(profile @ profile) * lip_x * lip_y * omega_norm
-        fit_e = fit_component(eta_block, target, lam, w_eta, warm=eta, omega=omega,
-                              options=opts, lipschitz=lip_eta)
+        fit_e = fit_component(space, (target @ profile) / scale, lam / scale, w_eta,
+                              warm=eta, omega=omega, options=opts, lipschitz=lip_space)
         eta = fit_e.coef
         total_iter += fit_e.n_iter
-        if not eta.any():
+        field = space.predict(eta)
+        weighted_field = weight_frames(field, omega)
+        scale = float(np.vdot(field, weighted_field))
+        if scale == 0.0:
             collapsed = True
             break
-        field = rho_chain([basis.phi_x, basis.phi_y], eta)
-        zeta_block = _KronBlock(
-            "stimulus-zeta",
-            [ones_x, ones_y, basis.phi_t],
-            (basis.p_t,),
-            kron_shape=(1, 1, basis.p_t),
-            multiplier=field[:, :, None],
-        )
         w_zeta = np.einsum("ijk,ij->k", weights, np.abs(eta))
-        lip_zeta = float(np.sum(field * field)) * lip_t * omega_norm
-        fit_z = fit_component(zeta_block, target, lam, w_zeta, warm=zeta, omega=omega,
-                              options=opts, lipschitz=lip_zeta)
+        contracted = np.einsum("ij,ijk->k", weighted_field, target) / scale
+        fit_z = fit_component(times, contracted, lam / scale, w_zeta, warm=zeta,
+                              options=opts, lipschitz=lip_times)
         zeta = fit_z.coef
         total_iter += fit_z.n_iter
         if not zeta.any():
             collapsed = True
-            eta = np.zeros_like(eta)
             break
-        new_obj = fit_z.objective
-        if abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj)):
-            obj = new_obj
-            converged = True
-            break
+        new_obj = joint_objective(zeta, eta)
+        converged = bool(abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj)))
         obj = new_obj
+        if converged:
+            break
     if collapsed:
-        obj = joint_objective(zeta, np.zeros_like(eta))
         eta = np.zeros_like(eta)
+        obj = joint_objective(zeta, eta)
         converged = True
     alpha = np.einsum("k,ij->ijk", zeta, eta)
     return Rank1Fit(zeta, eta, alpha, obj, n_alt, total_iter, converged, collapsed)
@@ -538,11 +520,10 @@ class MrceResult:
     lambda_index: int
 
 
-def _block_lipschitz(blocks, omega, opts):
+def _block_lipschitz(blocks, omega):
     """Step-size constants of the network and memory blocks.  The rank-one
     stimulus computes its own from the factor Gram matrices."""
-    return {name: power_lipschitz(blocks[name], omega, opts.power_iterations)
-            for name in ("network", "memory")}
+    return {name: power_lipschitz(blocks[name], omega) for name in ("network", "memory")}
 
 
 def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
@@ -558,7 +539,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
         penalty_weights = PenaltySpec(np.array([1.0])).weights_for(basis)
     blocks = _design_blocks(design)
     if lipschitz is None:
-        lipschitz = _block_lipschitz(blocks, design.omega, opts)
+        lipschitz = _block_lipschitz(blocks, design.omega)
     target = design.target
 
     if warm is None:
@@ -654,7 +635,7 @@ def fit_block_relaxation(design, penalty, options=None):
     previous level's solution."""
     opts = options or SolverOptions()
     weights = penalty.weights_for(design.basis)
-    lipschitz = _block_lipschitz(_design_blocks(design), design.omega, opts)
+    lipschitz = _block_lipschitz(_design_blocks(design), design.omega)
     fits = []
     warm = None
     for lam in penalty.lambda_path:

@@ -322,3 +322,47 @@ class TestFitInputErrors:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["mrce"]["lambda_index"] == 2
+
+
+class TestConvergenceWarnings:
+    def test_unconverged_levels_warn_and_exit_0(self, pipeline, tmp_path, capsys):
+        sim, _, _ = pipeline
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["fit", "--config", str(write_config(tmp_path, max_sweeps="1")),
+                     "--data", str(sim / "data.dta1"), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        unconverged = [i for i, f in enumerate(report["fits"]) if not f["converged_outer"]]
+        assert unconverged
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert len(warnings) == len(unconverged), warnings
+        for i, line in zip(unconverged, warnings):
+            assert f"lambda index {i} " in line and "max_sweeps = 1" in line, line
+
+    def test_mrce_warns_for_both_rounds_and_reports_glasso_certificate(
+            self, pipeline, tmp_path, capsys):
+        sim, _, _ = pipeline
+        text = mrce_config(tmp_path, 2).read_text().replace("max_sweeps = ", "max_sweeps = 1 #", 1)
+        path = tmp_path / "mrce1.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["fit", "--config", str(path), "--data", str(sim / "data.dta1"),
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        mrce = report["mrce"]
+        assert mrce["precision_sweeps"] >= 1
+        if mrce["precision_converged"]:
+            assert 0 <= mrce["precision_dual_gap"] <= 1e-6
+        rounds = {"lambda index": report, "first-round lambda index": mrce["first_round"]}
+        err = capsys.readouterr().err
+        for label, rnd in rounds.items():
+            want = [i for i, f in enumerate(rnd["fits"]) if not f["converged_outer"]]
+            got = [int(line.split(label + " ")[1].split()[0]) for line in err.splitlines()
+                   if line.startswith(f"warning: {label} ")]
+            assert got == want and want, (label, err)
+        glasso = [line for line in err.splitlines() if "graphical lasso" in line]
+        assert len(glasso) == (0 if mrce["precision_converged"] else 1)

@@ -156,6 +156,28 @@ class TestLambdaMax:
         assert abs(hi - lm) / lm < 0.01
 
 
+def rank1_instance(rng):
+    """Random data on a grid whose stimulus has several spatial and
+    temporal functions, so the rank-one constraint binds."""
+    grid = Grid(n_x=4, n_y=3, n_steps=12, n_lags=2, dt=0.1,
+                x_range=(0.0, 4.0), y_range=(0.0, 3.0))
+    basis = build_basis_set(
+        grid,
+        uniform_bspline_spec(1, 3, *grid.x_range),
+        uniform_bspline_spec(0, 2, *grid.y_range),
+        uniform_bspline_spec(1, 4, 0.0, grid.duration),
+        uniform_bspline_spec(0, 2, -grid.tau, 0.0),
+    )
+    data = rng.standard_normal((grid.n_x, grid.n_y, grid.n_frames))
+    return grid, basis, build_design(data, basis)
+
+
+def stimulus_lambda_max(design, weights):
+    # zero network and memory weights leave them out of lambda_max
+    return lambda_max(design, {"stimulus": weights, "network": np.zeros(1),
+                               "memory": np.zeros(1)})
+
+
 class TestReducedRank:
     def test_huge_lambda_collapses(self, rng):
         _, basis, _, design = tiny_instance(rng)
@@ -172,6 +194,38 @@ class TestReducedRank:
         assert fit.converged or fit.n_alternations == 50
         # rank-one structure is exact
         assert np.array_equal(fit.alpha, np.einsum("k,ij->ijk", fit.zeta, fit.eta))
+
+    def test_scaled_identity_precision_scales_only_the_objective(self, rng):
+        # Omega = c I with penalty c * lam is the unweighted problem times c:
+        # on pinned budgets the factors agree and the objective scales by c
+        grid, basis, design = rank1_instance(rng)
+        lam = 0.2 * stimulus_lambda_max(design, np.ones((basis.p_x, basis.p_y, basis.p_t)))
+        opts = SolverOptions(tol_inner=0.0, max_inner=300, tol_rank1=0.0, max_rank1=4)
+        c = 3.0
+        plain = fit_reduced_rank_stimulus(design, design.target, lam, options=opts)
+        scaled = fit_reduced_rank_stimulus(design.with_omega(c * np.eye(grid.n_pixels)),
+                                           design.target, c * lam, options=opts)
+        assert not plain.collapsed and not scaled.collapsed
+        for a, b in ((scaled.zeta, plain.zeta), (scaled.eta, plain.eta)):
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+        assert abs(scaled.objective - c * plain.objective) <= 1e-9 * c * plain.objective
+
+    def test_weighted_objective_matches_explicit_design(self, rng):
+        grid, basis, design = rank1_instance(rng)
+        d = grid.n_pixels
+        root = rng.standard_normal((d, d))
+        omega = root @ root.T / d + 0.5 * np.eye(d)
+        weighted = design.with_omega(omega)
+        weights = 0.5 + rng.random((basis.p_x, basis.p_y, basis.p_t))
+        lam = 0.2 * stimulus_lambda_max(weighted, weights)
+        fit = fit_reduced_rank_stimulus(weighted, weighted.target, lam, weights)
+        assert fit.alpha.any()
+        x, slices = explicit_design(design)
+        resid = vec(design.target) - x[:, slices["stimulus"]] @ vec(fit.alpha)
+        frames = resid.reshape(grid.n_steps, d)  # row k: frame k, column-major pixels
+        want = (0.5 * float(np.einsum("ki,ij,kj->", frames, omega, frames))
+                + lam * float(np.sum(weights * np.abs(fit.alpha))))
+        assert abs(fit.objective - want) <= 1e-12 * max(1.0, want)
 
 
 class TestBlockRelaxation:
