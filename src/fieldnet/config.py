@@ -41,7 +41,7 @@ _SCHEMA = {
     "solver": {
         "tol_inner": float, "max_inner": int, "tol_outer": float,
         "max_sweeps": int, "tol_rank1": float, "max_rank1": int,
-        "kkt_tol_factor": float, "mrce": bool, "mrce_lambda_index": int,
+        "mrce": bool, "mrce_lambda_index": int,
         "response": str,
     },
     "penalty": {
@@ -194,7 +194,7 @@ def make_solver_options(cfg):
     s = cfg.sections.get("solver", {})
     opts = SolverOptions()
     for key in ("tol_inner", "max_inner", "tol_outer", "max_sweeps", "tol_rank1",
-                "max_rank1", "kkt_tol_factor"):
+                "max_rank1"):
         if key in s:
             setattr(opts, key, s[key])
     return opts

@@ -152,6 +152,30 @@ class _KronBlock:
         out = rho_transposed_chain(self.factors, arr)
         return out.reshape(self.coef_shape, order="F")
 
+    def lipschitz(self, omega=None):
+        """Largest eigenvalue of the normal operator ``X^T (I_M kron Omega) X``.
+
+        The operator is a Kronecker product of factor Grams, so its top
+        eigenvalue is a product of factor top eigenvalues.  Omega and the
+        multiplier couple the two spatial factors, so those are folded into
+        ``S = F_y kron F_x`` and enter as ``S^T (Omega o V V^T) S``, with
+        ``V`` the multiplier as a ``(D, M)`` matrix.
+        """
+        def top(gram):
+            return float(np.linalg.eigvalsh(gram)[-1])
+
+        if omega is None and self.multiplier is None:
+            return float(np.prod([top(f.T @ f) for f in self.factors]))
+        spatial = self.factors[0]
+        if len(self.factors) > 1:
+            spatial = np.kron(self.factors[1], spatial)
+        weight = np.eye(spatial.shape[0]) if omega is None else omega
+        if self.multiplier is not None:
+            v = self.multiplier.reshape(spatial.shape[0], -1, order="F")
+            weight = weight * (v @ v.T)
+        rest = [top(f.T @ f) for f in self.factors[2:]]
+        return top(spatial.T @ weight @ spatial) * float(np.prod(rest))
+
 
 def stimulus_block(design):
     b = design.basis

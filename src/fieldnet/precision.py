@@ -57,12 +57,14 @@ def glasso_objective(s, omega, nu):
 
 
 def _dual_gap(s, omega, w_dual, nu):
-    # w_dual is dual feasible (diag equal to diag(s), off-diagonals within
-    # nu of s), so logdet(w_dual) + D lower-bounds the primal optimum.
-    sign, logdet = np.linalg.slogdet(w_dual)
+    # A dual-feasible w (diag equal to diag(s), off-diagonals within nu of
+    # s) gives the lower bound logdet(w) + D on the primal optimum.  The
+    # working covariance is feasible only up to the inner tolerance, so it
+    # is clipped into the box first; the gap left below zero is rounding.
+    sign, logdet = np.linalg.slogdet(np.clip(w_dual, s - nu, s + nu))
     if sign <= 0:
         return np.inf
-    return glasso_objective(s, omega, nu) - logdet - omega.shape[0]
+    return max(glasso_objective(s, omega, nu) - logdet - omega.shape[0], 0.0)
 
 
 def _lasso_cd(v, s12, nu, beta, tol, max_iter):

@@ -10,10 +10,10 @@ A block relaxation sweep solves one component at a time against partial
 residuals: the stimulus under a rank-one constraint (spatially modulated
 common temporal signal), then the propagation block, then the memory
 block.  Each sub-problem runs a monotone accelerated proximal gradient
-method with backtracking line search, so the full penalized objective is
-non-increasing across every sub-solve.  The outer loop couples this with
-precision estimation (graphical lasso on the residual covariance) and a
-refit on precision-weighted data.
+method whose step is the inverse of the block's exact Lipschitz constant,
+so the full penalized objective is non-increasing across every sub-solve.
+The outer loop couples this with precision estimation (graphical lasso on
+the residual covariance) and a refit on precision-weighted data.
 """
 
 from __future__ import annotations
@@ -52,11 +52,12 @@ class SolverOptions:
     max_sweeps: int = 20
     tol_rank1: float = 1e-6
     max_rank1: int = 50
-    kkt_tol_factor: float = 1e-4
 
 
 # Iterations between KKT checks once the objective has stalled.
 KKT_CHECK_EVERY = 25
+# KKT pass tolerance, relative to the penalty level.
+KKT_TOL_FACTOR = 1e-4
 
 
 @dataclass
@@ -153,7 +154,9 @@ def _half_sq(resid, omega):
 
 
 def power_lipschitz(block, omega=None, iterations=60, seed=0):
-    """Largest eigenvalue of the block's normal operator by power iteration."""
+    """Power-iteration estimate of the block's largest normal-operator
+    eigenvalue, from below.  A reference for :meth:`_KronBlock.lipschitz`,
+    which the solver uses."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(block.coef_shape)
     norm = np.linalg.norm(v)
@@ -170,7 +173,7 @@ def power_lipschitz(block, omega=None, iterations=60, seed=0):
     return est
 
 
-def kkt_residual(grad_f, coef, lam, weights, tol_factor=1e-4):
+def kkt_residual(grad_f, coef, lam, weights, tol_factor=KKT_TOL_FACTOR):
     """Stationarity residual and pass flag for the weighted-lasso optimum.
 
     Non-zero entries must satisfy ``|g + lam w sign(theta)| <= tol * lam``;
@@ -207,74 +210,56 @@ class ComponentFit:
 def fit_component(block, target, lam, weights, warm=None, omega=None, options=None,
                   lipschitz=None):
     """Weighted-lasso fit of one block by monotone accelerated proximal
-    gradient with backtracking.
+    gradient with the fixed step ``1 / L``, ``L`` the block's exact
+    Lipschitz constant (``block.lipschitz(omega)`` unless given).
 
     ``target`` is the partial residual the block is fitted against.  The
-    returned objective never exceeds the warm-start objective.
+    returned objective never exceeds the warm-start objective, and the
+    returned KKT certificate is evaluated at the returned coefficients.
     """
     opts = options or SolverOptions()
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
     x = (np.zeros(block.coef_shape) if warm is None
          else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
 
-    def smooth(theta):
-        return _half_sq(target - block.predict(theta), omega)
-
-    def smooth_grad(theta):
+    def objective(theta):
         resid = target - block.predict(theta)
-        return _half_sq(resid, omega), -block.adjoint(weight_frames(resid, omega))
+        return _half_sq(resid, omega) + lam * float(np.sum(weights * np.abs(theta)))
 
-    def penalty(theta):
-        return lam * float(np.sum(weights * np.abs(theta)))
+    def grad(theta):
+        return -block.adjoint(weight_frames(target - block.predict(theta), omega))
 
-    lip = power_lipschitz(block, omega) if lipschitz is None else lipschitz
+    def certificate(theta):
+        # with no penalty there is no KKT test: report the gradient size
+        g = grad(theta)
+        if lam == 0:
+            return float(np.abs(g).max()), True
+        return kkt_residual(g, theta, lam, weights)
+
+    lip = block.lipschitz(omega) if lipschitz is None else lipschitz
     if lip <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
         coef = np.zeros(block.coef_shape) if lam > 0 else x
-        obj = smooth(coef) + penalty(coef)
+        obj = objective(coef)
         return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True)
 
-    step0 = 1.0 / lip
-    step = step0
-    f_best = smooth(x) + penalty(x)
+    step = 1.0 / lip
+    f_best = objective(x)
     if not np.isfinite(f_best):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
     trace = [f_best]
     y = x.copy()
     t_mom = 1.0
-    resets = 0
     n_iter = 0
     converged = False
-    kkt_res, kkt_pass = np.inf, False
     last_kkt_check = -KKT_CHECK_EVERY
 
     for it in range(1, opts.max_inner + 1):
         n_iter = it
-        fy, gy = smooth_grad(y)
-        restarted = False
-        while True:
-            cand = soft_threshold(y - step * gy, step * lam * weights)
-            f_cand = smooth(cand)
-            diff = cand - y
-            quad = fy + float(np.vdot(gy, diff)) + float(np.vdot(diff, diff)) / (2 * step)
-            # NaN objectives fail this test and keep shrinking the step.
-            if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
-                break
-            step *= 0.5
-            if step < 1e-30:
-                if resets == 0:
-                    # restart once from the incumbent with a fresh gradient
-                    resets = 1
-                    step = step0
-                    y = x.copy()
-                    t_mom = 1.0
-                    restarted = True
-                    break
-                raise DivergenceError(f"component fit diverged for block {block.name!r}")
-        if restarted:
-            trace.append(f_best)
-            continue
-        obj_cand = f_cand + penalty(cand)
+        cand = soft_threshold(y - step * grad(y), step * lam * weights)
+        obj_cand = objective(cand)
+        if not np.isfinite(obj_cand):
+            raise DivergenceError(f"component fit diverged for block {block.name!r}")
         # Monotone acceleration: keep the incumbent when the accelerated
         # candidate overshoots, but still extrapolate through it.
         accepted = obj_cand <= f_best
@@ -287,27 +272,19 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
         rel = abs(f_best - f_new) / max(1.0, abs(f_best))
         x, f_best, t_mom = x_new, f_new, t_new
         trace.append(f_best)
-        # A rejected overshoot is a transient stall, not convergence.
-        if accepted and rel < opts.tol_inner:
-            if lam == 0:
-                _, g = smooth_grad(x)
-                kkt_res, kkt_pass = float(np.abs(g).max()), True
+        # At an optimum rounding can reject every candidate, so with a
+        # penalty a rejected step also reaches the KKT test.  Without one
+        # there is no such test, and only an accepted stall converges.
+        if (rel < opts.tol_inner and (accepted or lam > 0)
+                and it - last_kkt_check >= KKT_CHECK_EVERY):
+            last_kkt_check = it
+            kkt = certificate(x)
+            if kkt[1]:
                 converged = True
                 break
-            if it - last_kkt_check >= KKT_CHECK_EVERY:
-                last_kkt_check = it
-                _, g = smooth_grad(x)
-                kkt_res, kkt_pass = kkt_residual(g, x, lam, weights, opts.kkt_tol_factor)
-                if kkt_pass:
-                    converged = True
-                    break
-    if not np.isfinite(kkt_res):
-        _, g = smooth_grad(x)
-        if lam == 0:
-            kkt_res, kkt_pass = float(np.abs(g).max()), True
-        else:
-            kkt_res, kkt_pass = kkt_residual(g, x, lam, weights, opts.kkt_tol_factor)
-    return ComponentFit(x, f_best, np.asarray(trace), n_iter, converged, kkt_res, kkt_pass)
+    if not converged:
+        kkt = certificate(x)
+    return ComponentFit(x, f_best, np.asarray(trace), n_iter, converged, *kkt)
 
 
 def standardized_weights(design):
@@ -382,10 +359,6 @@ def _rank1_init(design, target):
     return zeta
 
 
-def _gram_norm(mat):
-    return float(np.linalg.eigvalsh(mat.T @ mat).max())
-
-
 def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
                               warm_eta=None, options=None):
     """Rank-one stimulus fit by alternating weighted lassos.
@@ -418,11 +391,10 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         zeta = zeta / nz
         eta = eta * nz
 
-    omega_norm = 1.0 if omega is None else float(np.linalg.eigvalsh(omega).max())
     space = _KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], (basis.p_x, basis.p_y))
     times = _KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,))
-    lip_space = _gram_norm(basis.phi_x) * _gram_norm(basis.phi_y) * omega_norm
-    lip_times = _gram_norm(basis.phi_t)
+    lip_space = space.lipschitz(omega)
+    lip_times = times.lipschitz()
     stimulus = stimulus_block(design)
 
     def joint_objective(z, e):
@@ -522,8 +494,8 @@ class MrceResult:
 
 def _block_lipschitz(blocks, omega):
     """Step-size constants of the network and memory blocks.  The rank-one
-    stimulus computes its own from the factor Gram matrices."""
-    return {name: power_lipschitz(blocks[name], omega) for name in ("network", "memory")}
+    stimulus computes its own for its two factor blocks."""
+    return {name: blocks[name].lipschitz(omega) for name in ("network", "memory")}
 
 
 def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,

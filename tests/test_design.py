@@ -16,8 +16,10 @@ from fieldnet import (
     uniform_bspline_spec,
 )
 from fieldnet.arrays import vec
+from fieldnet.design import _design_blocks, _KronBlock
 from fieldnet.errors import ShapeError
-from oracles import explicit_design, naive_convolution_tensor, theta_vec
+from fieldnet.solver import power_lipschitz
+from oracles import explicit_design, kron_matrix, naive_convolution_tensor, theta_vec
 
 
 def simple_setup(rng):
@@ -154,6 +156,35 @@ class TestGradient:
         _, basis, _, design = simple_setup(rng)
         with pytest.raises(ShapeError):
             gradient(np.zeros((2, 2, 2)), design)
+
+
+class TestLipschitz:
+    @staticmethod
+    def top_eigenvalue(x, omega, frame):
+        # normal matrix x^T (I kron Omega) x, frames of ``frame`` rows each
+        if omega is not None:
+            x = np.kron(np.eye(x.shape[0] // frame), np.linalg.cholesky(omega).T) @ x
+        return float(np.linalg.eigvalsh(x.T @ x)[-1])
+
+    def test_matches_explicit_normal_matrix(self, rng):
+        for _ in range(5):
+            grid, basis, _, design = tiny_instance(rng)
+            d = grid.n_pixels
+            x, slices = explicit_design(design)
+            blocks = _design_blocks(design)
+            cases = [(blocks[name], x[:, cols], d) for name, cols in slices.items()]
+            cases.append((_KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y],
+                                     (basis.p_x, basis.p_y)),
+                          kron_matrix([basis.phi_x, basis.phi_y]), d))
+            cases.append((_KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,)),
+                          basis.phi_t, grid.n_steps))
+            for block, dense, frame in cases:
+                root = rng.standard_normal((frame, frame))
+                for omega in (None, root @ root.T / frame + 0.5 * np.eye(frame)):
+                    want = self.top_eigenvalue(dense, omega, frame)
+                    got = block.lipschitz(omega)
+                    assert abs(got - want) <= 1e-12 * want, (block.name, got, want)
+                    assert power_lipschitz(block, omega) <= got * (1 + 1e-12)
 
 
 class TestParameterCounts:

@@ -69,6 +69,16 @@ class TestGraphicalLasso:
         assert est.converged
         assert est.dual_gap <= 1e-6
 
+    def test_duality_gap_never_negative(self):
+        # the gap certifies a feasible dual point, so rounding must not
+        # carry it below zero on any input
+        for seed in range(100):
+            loc = np.random.default_rng(seed)
+            d = int(loc.integers(2, 7))
+            s = random_spd(loc, d, n=int(loc.integers(d, 3 * d + 1)))
+            nu = float(loc.uniform(0.01, 0.5)) * np.abs(s - np.diag(np.diag(s))).max()
+            assert graphical_lasso(s, nu).dual_gap >= 0.0, seed
+
     def test_output_symmetric_positive_definite(self, rng):
         s = random_spd(rng, 5)
         est = graphical_lasso(s, 0.05)

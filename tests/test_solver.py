@@ -29,6 +29,7 @@ from fieldnet.solver import (
     _KronBlock,
     fit_component,
     fit_penalized,
+    kkt_residual,
     standardized_weights,
 )
 from oracles import explicit_design, theta_vec
@@ -110,6 +111,42 @@ class TestFitComponent:
         warm = 0.1 * rng.standard_normal(block.coef_shape)
         fit = fit_component(block, design.target, lam, np.ones(block.coef_shape), warm=warm)
         assert fit.objective <= fit.trace[0] + 1e-12 * max(1.0, abs(fit.trace[0]))
+
+
+def small_lasso(seed):
+    """A random 30 x 4 lasso at half its zero-solution level."""
+    loc = np.random.default_rng(seed)
+    a = loc.standard_normal((30, 4))
+    y = loc.standard_normal(30)
+    lam = 0.5 * float(np.abs(a.T @ y).max())
+    return a, y, lam
+
+
+class TestStalledFits:
+    # At these seeds rounding rejects every candidate near the optimum, so
+    # no accepted step ever reaches the convergence test.
+    SEEDS = (28, 52, 63, 107, 131)
+
+    def test_stalled_fit_at_optimum_converges(self):
+        for seed in self.SEEDS:
+            a, y, lam = small_lasso(seed)
+            block = _KronBlock("toy", [a], (4,))
+            fit = fit_component(block, y, lam, np.ones(4),
+                                options=SolverOptions(max_inner=3000))
+            assert fit.converged and fit.kkt_ok, seed
+            assert fit.n_iter <= 100, (seed, fit.n_iter)
+
+    def test_certificate_is_evaluated_at_returned_coefficients(self):
+        for seed in self.SEEDS:
+            a, y, lam = small_lasso(seed)
+            block = _KronBlock("toy", [a], (4,))
+            for opts in (SolverOptions(max_inner=3000),
+                         SolverOptions(tol_inner=0.0, max_inner=40)):
+                fit = fit_component(block, y, lam, np.ones(4), options=opts)
+                grad = -a.T @ (y - a @ fit.coef)
+                want, ok = kkt_residual(grad, fit.coef, lam, np.ones(4))
+                assert abs(fit.kkt_residual - want) <= 1e-12 * lam, (seed, opts)
+                assert fit.kkt_ok == ok
 
 
 class TestLambdaMax:
