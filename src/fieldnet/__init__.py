@@ -35,6 +35,7 @@ from .design import (
     model_parameter_count,
     naive_var_parameter_count,
 )
+from .config import stimulus_weight_profile
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -67,7 +68,6 @@ from .solver import (
     lambda_max,
     mrce_loop,
     soft_threshold,
-    stimulus_weight_profile,
     support_scores,
 )
 from .summary import (

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import Grid, build_basis_set, uniform_bspline_spec
 from .errors import ConfigError
-from .solver import SolverOptions, stimulus_weight_profile
+from .solver import SolverOptions
 
 _REQUIRED_SECTIONS = ("run", "grid", "basis", "io")
 
@@ -198,6 +198,26 @@ def make_solver_options(cfg):
         if key in s:
             setattr(opts, key, s[key])
     return opts
+
+
+def stimulus_weight_profile(spec_t, onset, offset, window, low_weight=0.1):
+    """Temporal penalty weights reproducing the onset/offset down-weighting.
+
+    Functions whose Greville abscissa falls within ``window`` after the
+    stimulus onset or offset get ``low_weight``; all others get one.
+    """
+    knots = np.asarray(spec_t.knots)
+    p = spec_t.degree
+    if p == 0:
+        peaks = (knots[:-1] + knots[1:]) / 2.0
+    else:
+        peaks = np.array([knots[q + 1 : q + p + 1].mean() for q in range(spec_t.n_basis)])
+    w = np.ones(spec_t.n_basis)
+    for start in (onset, offset):
+        if start is None:
+            continue
+        w[(peaks >= start) & (peaks <= start + window)] = low_weight
+    return w
 
 
 def stimulus_weights(cfg, basis):

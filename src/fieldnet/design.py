@@ -11,8 +11,9 @@ evaluated through mode transforms on small marginal factors:
 * memory block: a Hadamard product of the one-step-lagged data with the
   spatial field spanned by ``gamma``.
 
-Each part is a :class:`_KronBlock`; :func:`linear_predictor`, :func:`gradient`
-and the solver all act with the design through these blocks.
+Each part is a :class:`_KronBlock`.  A :class:`_StackedBlock` puts blocks
+side by side: over all three it is the ``X`` of :func:`linear_predictor`
+and :func:`gradient`, over network and memory the solver's joint block.
 
 The response for modeled frame ``k`` is observation frame ``k + 1``; by
 default the lagged frame enters as a fixed offset so the fitted
@@ -197,12 +198,50 @@ def memory_block(design):
     return _KronBlock("memory", [b.phi_x, b.phi_y], (b.p_x, b.p_y), multiplier=design.v_lag1)
 
 
+class _StackedBlock:
+    """Blocks side by side, ``[X_1 X_2 ...]``, acting on one flat vector that
+    concatenates the parts' column-major coefficients in block order."""
+
+    def __init__(self, name, blocks):
+        self.name = name
+        self.blocks = list(blocks)
+        self._bounds = np.cumsum([0] + [int(np.prod(b.coef_shape)) for b in self.blocks])
+        self.coef_shape = (int(self._bounds[-1]),)
+
+    def split(self, coef):
+        """Views of the flat vector in the parts' coefficient shapes."""
+        return [np.ravel(coef)[lo:hi].reshape(b.coef_shape, order="F")
+                for b, lo, hi in zip(self.blocks, self._bounds[:-1], self._bounds[1:])]
+
+    def stack(self, parts):
+        return np.concatenate([np.ravel(p, order="F") for p in parts])
+
+    def predict(self, coef):
+        preds = [b.predict(part) for b, part in zip(self.blocks, self.split(coef))]
+        return sum(preds[1:], preds[0])
+
+    def adjoint(self, fieldarr):
+        return self.stack([b.adjoint(fieldarr) for b in self.blocks])
+
+    def lipschitz(self, omega=None):
+        """Sum of the parts' exact constants, an upper bound on the stacked
+        one because ``||[A B]||^2 <= ||A||^2 + ||B||^2``."""
+        return float(sum(b.lipschitz(omega) for b in self.blocks))
+
+
 def _design_blocks(design):
-    return {
-        "stimulus": stimulus_block(design),
-        "network": network_block(design),
-        "memory": memory_block(design),
-    }
+    blocks = (stimulus_block(design), network_block(design), memory_block(design))
+    return {b.name: b for b in blocks}
+
+
+def network_memory_block(design):
+    """The network and memory blocks, fitted as one lasso by the solver."""
+    return _StackedBlock("network+memory", [network_block(design), memory_block(design)])
+
+
+def design_block(design):
+    """The whole design ``X``: stimulus, network and memory in that order."""
+    return _StackedBlock("design", _design_blocks(design).values())
 
 
 def weight_frames(fieldarr, omega):
@@ -215,12 +254,10 @@ def weight_frames(fieldarr, omega):
 
 
 def linear_predictor(coeffs, design):
-    """Sum of the three design block actions, shape ``(n_x, n_y, M)``."""
+    """Action of the design on the coefficients, shape ``(n_x, n_y, M)``."""
     coeffs.validate(design.basis)
-    blocks = _design_blocks(design)
-    return (blocks["stimulus"].predict(coeffs.alpha)
-            + blocks["network"].predict(coeffs.beta)
-            + blocks["memory"].predict(coeffs.gamma))
+    block = design_block(design)
+    return block.predict(block.stack([coeffs.alpha, coeffs.beta, coeffs.gamma]))
 
 
 def gradient(residual, design):
@@ -232,16 +269,10 @@ def gradient(residual, design):
     """
     residual = np.asarray(residual, dtype=np.float64)
     if residual.shape != design.response.shape:
-        raise ShapeError(
-            f"residual has shape {residual.shape}, expected {design.response.shape}"
-        )
-    weighted = weight_frames(residual, design.omega)
-    blocks = _design_blocks(design)
-    return DriftCoefficients(
-        alpha=blocks["stimulus"].adjoint(weighted),
-        beta=blocks["network"].adjoint(weighted),
-        gamma=blocks["memory"].adjoint(weighted),
-    )
+        raise ShapeError(f"residual has shape {residual.shape}, expected {design.response.shape}")
+    block = design_block(design)
+    alpha, beta, gamma = block.split(block.adjoint(weight_frames(residual, design.omega)))
+    return DriftCoefficients(alpha=alpha, beta=beta, gamma=gamma)
 
 
 def model_parameter_count(p_x, p_y, p_t, p_l):

@@ -6,12 +6,13 @@ The estimator minimizes
     + lambda * sum_i w_i |theta_i|
 
 over the stacked coefficient blocks, without forming the design matrix.
-A block relaxation sweep solves one component at a time against partial
-residuals: the stimulus under a rank-one constraint (spatially modulated
-common temporal signal), then the propagation block, then the memory
-block.  Each sub-problem runs a monotone accelerated proximal gradient
-method whose step is the inverse of the block's exact Lipschitz constant,
-so the full penalized objective is non-increasing across every sub-solve.
+A block relaxation sweep makes two sub-solves against partial residuals:
+the stimulus under a rank-one constraint (spatially modulated common
+temporal signal), then the propagation and memory blocks as one lasso on
+their stacked design.  Each lasso runs a monotone accelerated proximal
+gradient method with the step ``1 / L`` (``L`` a block's exact Lipschitz
+constant; the sum of both for the stacked pair), so the full penalized
+objective is non-increasing across every sub-solve.
 The outer loop couples this with precision estimation (graphical lasso on
 the residual covariance) and a refit on precision-weighted data.
 """
@@ -25,9 +26,9 @@ import numpy as np
 
 from .bases import DriftCoefficients
 from .design import (  # noqa: F401  (network_block is re-exported)
-    _design_blocks,
     _KronBlock,
-    gradient,
+    design_block,
+    network_memory_block,
     linear_predictor,
     network_block,
     stimulus_block,
@@ -100,18 +101,10 @@ class PenaltySpec:
             "network": (basis.p_x, basis.p_y, basis.p_x, basis.p_y, basis.p_l),
             "memory": (basis.p_x, basis.p_y),
         }
-        given = {
-            "stimulus": self.weights_stimulus,
-            "network": self.weights_network,
-            "memory": self.weights_memory,
-        }
         out = {}
         for name, shape in shapes.items():
-            w = given[name]
-            if w is None:
-                out[name] = np.ones(shape)
-            else:
-                out[name] = np.broadcast_to(w, shape).astype(np.float64)
+            w = getattr(self, f"weights_{name}")
+            out[name] = np.ones(shape) if w is None else np.broadcast_to(w, shape).astype(float)
         return out
 
 
@@ -124,26 +117,6 @@ def default_lambda_path(lam_max, n_lambdas=10, min_ratio=1e-3):
     if lam_max <= 0:
         return np.geomspace(1.0, min_ratio, n_lambdas)
     return np.geomspace(lam_max, lam_max * min_ratio, n_lambdas)
-
-
-def stimulus_weight_profile(spec_t, onset, offset, window, low_weight=0.1):
-    """Temporal penalty weights reproducing the onset/offset down-weighting.
-
-    Functions whose Greville abscissa falls within ``window`` after the
-    stimulus onset or offset get ``low_weight``; all others get one.
-    """
-    knots = np.asarray(spec_t.knots)
-    p = spec_t.degree
-    if p == 0:
-        peaks = (knots[:-1] + knots[1:]) / 2.0
-    else:
-        peaks = np.array([knots[q + 1 : q + p + 1].mean() for q in range(spec_t.n_basis)])
-    w = np.ones(spec_t.n_basis)
-    for start in (onset, offset):
-        if start is None:
-            continue
-        w[(peaks >= start) & (peaks <= start + window)] = low_weight
-    return w
 
 
 # -- component fits -----------------------------------------------------------
@@ -320,14 +293,10 @@ def lambda_max(design, weights=None):
     """
     if weights is None:
         weights = PenaltySpec(np.array([1.0])).weights_for(design.basis)
-    grad = gradient(design.target, design)
-    out = 0.0
-    for name, g in (("stimulus", grad.alpha), ("network", grad.beta), ("memory", grad.gamma)):
-        w = np.broadcast_to(weights[name], g.shape)
-        mask = w > 0
-        if mask.any():
-            out = max(out, float((np.abs(g[mask]) / w[mask]).max()))
-    return out
+    block = design_block(design)
+    grad = np.abs(block.adjoint(weight_frames(design.target, design.omega)))
+    w = block.stack([np.broadcast_to(weights[b.name], b.coef_shape) for b in block.blocks])
+    return float((grad[w > 0] / w[w > 0]).max(initial=0.0))
 
 
 # -- reduced-rank stimulus -----------------------------------------------------
@@ -343,6 +312,7 @@ class Rank1Fit:
     n_iter: int
     converged: bool
     collapsed: bool
+    kkt_residual: float
 
 
 def _rank1_init(design, target):
@@ -371,6 +341,9 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
     Alternation makes the joint objective non-increasing.  Returns a
     collapsed (all-zero) stimulus with a flag when either factor vanishes.
+    The returned ``kkt_residual`` is the rank-one stationarity at the
+    returned factors: the larger of the eta-lasso residual with zeta fixed
+    and the zeta-lasso residual with eta fixed, both in units of ``lam``.
     """
     opts = options or SolverOptions()
     basis = design.basis
@@ -443,7 +416,12 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         obj = joint_objective(zeta, eta)
         converged = True
     alpha = np.einsum("k,ij->ijk", zeta, eta)
-    return Rank1Fit(zeta, eta, alpha, obj, n_alt, total_iter, converged, collapsed)
+    # stationarity of each factor with the other fixed, by the chain rule
+    grad = -stimulus.adjoint(weight_frames(target - stimulus.predict(alpha), omega))
+    kkt = max(kkt_residual(grad @ zeta, eta, lam, weights @ np.abs(zeta))[0],
+              kkt_residual(np.tensordot(eta, grad, 2), zeta, lam,
+                           np.tensordot(np.abs(eta), weights, 2))[0])
+    return Rank1Fit(zeta, eta, alpha, obj, n_alt, total_iter, converged, collapsed, kkt)
 
 
 # -- block relaxation over the penalty path ------------------------------------
@@ -467,7 +445,8 @@ class LambdaFit:
 
     @property
     def total_iterations(self):
-        return int(sum(self.iterations.values()))
+        # network and memory report the same joint solve: count it once
+        return int(self.iterations["stimulus"] + self.iterations["network"])
 
 
 @dataclass
@@ -492,56 +471,38 @@ class MrceResult:
     lambda_index: int
 
 
-def _block_lipschitz(blocks, omega):
-    """Step-size constants of the network and memory blocks.  The rank-one
-    stimulus computes its own for its two factor blocks."""
-    return {name: blocks[name].lipschitz(omega) for name in ("network", "memory")}
-
-
 def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
                   lipschitz=None):
     """Block-relaxed fit of all three components at one penalty level.
 
-    ``lam`` may be zero (pure least squares).  ``warm`` is an optional
-    ``DriftCoefficients`` whose rank-one factors seed the stimulus.
+    Each sweep fits the rank-one stimulus, then the network and memory
+    blocks jointly.  ``lam`` may be zero (pure least squares).  ``warm`` is
+    an optional ``DriftCoefficients`` whose rank-one factors seed the
+    stimulus; ``lipschitz`` is the joint block's step constant.
     """
     opts = options or SolverOptions()
-    basis = design.basis
     if penalty_weights is None:
-        penalty_weights = PenaltySpec(np.array([1.0])).weights_for(basis)
-    blocks = _design_blocks(design)
+        penalty_weights = PenaltySpec(np.array([1.0])).weights_for(design.basis)
+    stimulus = stimulus_block(design)
+    joint = network_memory_block(design)
     if lipschitz is None:
-        lipschitz = _block_lipschitz(blocks, design.omega)
+        lipschitz = joint.lipschitz(design.omega)
     target = design.target
 
-    if warm is None:
-        zeta, eta = None, None
-        beta3 = np.zeros(blocks["network"].coef_shape)
-        gamma = np.zeros(blocks["memory"].coef_shape)
-    else:
-        zeta = None if warm.zeta is None else warm.zeta.copy()
-        eta = None if warm.eta is None else warm.eta.copy()
-        beta3 = warm.beta.copy()
-        gamma = warm.gamma.copy()
-    alpha = (np.zeros(blocks["stimulus"].coef_shape) if zeta is None or eta is None
+    zeta, eta = (None, None) if warm is None else (warm.zeta, warm.eta)
+    theta = np.zeros(joint.coef_shape) if warm is None else joint.stack([warm.beta, warm.gamma])
+    alpha = (np.zeros(stimulus.coef_shape) if zeta is None or eta is None
              else np.einsum("k,ij->ijk", zeta, eta))
 
-    pred_s = blocks["stimulus"].predict(alpha)
-    pred_f = blocks["network"].predict(beta3)
-    pred_h = blocks["memory"].predict(gamma)
-
+    pred_s = stimulus.predict(alpha)
+    pred_nm = joint.predict(theta)
     w_a = penalty_weights["stimulus"]
-    w_b = penalty_weights["network"]
-    w_g = penalty_weights["memory"]
+    w_nm = joint.stack([np.broadcast_to(penalty_weights[b.name], b.coef_shape)
+                        for b in joint.blocks])
 
     def full_objective():
-        resid = target - pred_s - pred_f - pred_h
-        pen = lam * (
-            float(np.sum(w_a * np.abs(alpha)))
-            + float(np.sum(w_b * np.abs(beta3)))
-            + float(np.sum(w_g * np.abs(gamma)))
-        )
-        return _half_sq(resid, design.omega) + pen
+        pen = lam * (float(np.sum(w_a * np.abs(alpha))) + float(np.sum(w_nm * np.abs(theta))))
+        return _half_sq(target - pred_s - pred_nm, design.omega) + pen
 
     trace = [full_objective()]
     iterations = {"stimulus": 0, "network": 0, "memory": 0}
@@ -552,42 +513,29 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
     for sweeps in range(1, opts.max_sweeps + 1):
         obj_start = trace[-1]
 
-        rank1 = fit_reduced_rank_stimulus(
-            design, target - pred_f - pred_h, lam, w_a, zeta, eta, opts
-        )
+        rank1 = fit_reduced_rank_stimulus(design, target - pred_nm, lam, w_a, zeta, eta, opts)
         zeta, eta, alpha = rank1.zeta, rank1.eta, rank1.alpha
-        pred_s = blocks["stimulus"].predict(alpha)
+        pred_s = stimulus.predict(alpha)
         iterations["stimulus"] += rank1.n_iter
         converged_blocks["stimulus"] = rank1.converged
+        kkt["stimulus"] = rank1.kkt_residual
         trace.append(full_objective())
 
-        fit_b = fit_component(
-            blocks["network"], target - pred_s - pred_h, lam, w_b, beta3,
-            design.omega, opts, lipschitz["network"],
-        )
-        beta3 = fit_b.coef
-        pred_f = blocks["network"].predict(beta3)
-        iterations["network"] += fit_b.n_iter
-        converged_blocks["network"] = fit_b.converged
-        kkt["network"] = fit_b.kkt_residual
-        trace.append(full_objective())
-
-        fit_g = fit_component(
-            blocks["memory"], target - pred_s - pred_f, lam, w_g, gamma,
-            design.omega, opts, lipschitz["memory"],
-        )
-        gamma = fit_g.coef
-        pred_h = blocks["memory"].predict(gamma)
-        iterations["memory"] += fit_g.n_iter
-        converged_blocks["memory"] = fit_g.converged
-        kkt["memory"] = fit_g.kkt_residual
+        fit_nm = fit_component(joint, target - pred_s, lam, w_nm, theta, design.omega, opts,
+                               lipschitz)
+        theta = fit_nm.coef
+        pred_nm = joint.predict(theta)
+        for name in ("network", "memory"):  # one joint solve, reported for both
+            iterations[name] += fit_nm.n_iter
+            converged_blocks[name] = fit_nm.converged
+            kkt[name] = fit_nm.kkt_residual
         trace.append(full_objective())
 
         if abs(obj_start - trace[-1]) <= opts.tol_outer * max(1.0, abs(obj_start)):
             converged_outer = True
             break
 
-    beta = beta3.reshape(basis.p_x, basis.p_y, basis.p_x, basis.p_y, basis.p_l, order="F")
+    beta, gamma = joint.split(theta)
     coeffs = DriftCoefficients(alpha=alpha, beta=beta, gamma=gamma, zeta=zeta, eta=eta)
     return LambdaFit(
         lam=float(lam),
@@ -607,7 +555,7 @@ def fit_block_relaxation(design, penalty, options=None):
     previous level's solution."""
     opts = options or SolverOptions()
     weights = penalty.weights_for(design.basis)
-    lipschitz = _block_lipschitz(_design_blocks(design), design.omega)
+    lipschitz = network_memory_block(design).lipschitz(design.omega)
     fits = []
     warm = None
     for lam in penalty.lambda_path:

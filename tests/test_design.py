@@ -16,7 +16,7 @@ from fieldnet import (
     uniform_bspline_spec,
 )
 from fieldnet.arrays import vec
-from fieldnet.design import _design_blocks, _KronBlock
+from fieldnet.design import _design_blocks, _KronBlock, network_memory_block, weight_frames
 from fieldnet.errors import ShapeError
 from fieldnet.solver import power_lipschitz
 from oracles import explicit_design, kron_matrix, naive_convolution_tensor, theta_vec
@@ -185,6 +185,51 @@ class TestLipschitz:
                     got = block.lipschitz(omega)
                     assert abs(got - want) <= 1e-12 * want, (block.name, got, want)
                     assert power_lipschitz(block, omega) <= got * (1 + 1e-12)
+
+
+class TestStackedBlock:
+    def test_network_memory_block_matches_explicit_columns(self, rng):
+        for _ in range(5):
+            grid, basis, _, design = tiny_instance(rng)
+            d, m = grid.n_pixels, grid.n_steps
+            x, slices = explicit_design(design)
+            dense = np.hstack([x[:, slices["network"]], x[:, slices["memory"]]])
+            blocks = _design_blocks(design)
+            block = network_memory_block(design)
+            assert block.coef_shape == (dense.shape[1],)
+            theta = rng.standard_normal(dense.shape[1])
+            want = dense @ theta
+            got = vec(block.predict(theta))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            beta, gamma = block.split(theta)
+            assert beta.shape == blocks["network"].coef_shape
+            assert np.array_equal(block.stack([beta, gamma]), theta)
+            root = rng.standard_normal((d, d))
+            resid = rng.standard_normal(design.response.shape)
+            for omega in (None, root @ root.T / d + 0.5 * np.eye(d)):
+                weighted = vec(resid) if omega is None else np.kron(np.eye(m), omega) @ vec(resid)
+                want = dense.T @ weighted
+                got = block.adjoint(weight_frames(resid, omega))
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                lip = block.lipschitz(omega)
+                net, mem = blocks["network"], blocks["memory"]
+                assert lip == net.lipschitz(omega) + mem.lipschitz(omega)
+                exact = TestLipschitz.top_eigenvalue(dense, omega, d)
+                assert lip >= exact * (1 - 1e-12), (lip, exact)
+
+    def test_predictor_and_gradient_equal_per_block_sums(self, rng):
+        for _ in range(5):
+            _, basis, _, design = tiny_instance(rng)
+            coeffs = random_coeffs(rng, basis)
+            blocks = _design_blocks(design)
+            pred = (blocks["stimulus"].predict(coeffs.alpha)
+                    + blocks["network"].predict(coeffs.beta)
+                    + blocks["memory"].predict(coeffs.gamma))
+            assert np.array_equal(linear_predictor(coeffs, design), pred)
+            grad = gradient(pred, design)
+            for got, name in ((grad.alpha, "stimulus"), (grad.beta, "network"),
+                              (grad.gamma, "memory")):
+                assert np.array_equal(got, blocks[name].adjoint(pred))
 
 
 class TestParameterCounts:

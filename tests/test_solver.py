@@ -264,6 +264,45 @@ class TestReducedRank:
                 + lam * float(np.sum(weights * np.abs(fit.alpha))))
         assert abs(fit.objective - want) <= 1e-12 * max(1.0, want)
 
+    def test_stationarity_matches_explicit_design(self, rng):
+        # the reported certificate is the lasso KKT residual of eta with zeta
+        # fixed and of zeta with eta fixed, from the explicit design's
+        # gradient at the returned factors; a collapsed fit is checked at eta = 0
+        grid, basis, design = rank1_instance(rng)
+        d, m = grid.n_pixels, grid.n_steps
+        x, slices = explicit_design(design)
+        xs = x[:, slices["stimulus"]]
+        root = rng.standard_normal((d, d))
+        shape = (basis.p_x, basis.p_y, basis.p_t)
+        collapsed = 0
+        for omega in (None, root @ root.T / d + 0.5 * np.eye(d)):
+            case = design if omega is None else design.with_omega(omega)
+            weights = 0.5 + rng.random(shape)
+            top = stimulus_lambda_max(case, weights)
+            for factor, opts in ((0.2, None), (0.05, SolverOptions(max_inner=40, max_rank1=2)),
+                                 (1.5, None)):
+                lam = factor * top
+                fit = fit_reduced_rank_stimulus(case, case.target, lam, weights, options=opts)
+                resid = vec(case.target) - xs @ vec(fit.alpha)
+                if omega is not None:
+                    resid = np.kron(np.eye(m), omega) @ resid
+                g_alpha = -(xs.T @ resid).reshape(shape, order="F")
+                g_eta = np.einsum("ijk,k->ij", g_alpha, fit.zeta)
+                g_zeta = np.einsum("ijk,ij->k", g_alpha, fit.eta)
+                want = max(
+                    kkt_residual(g_eta, fit.eta, lam,
+                                 np.einsum("ijk,k->ij", weights, np.abs(fit.zeta)))[0],
+                    kkt_residual(g_zeta, fit.zeta, lam,
+                                 np.einsum("ijk,ij->k", weights, np.abs(fit.eta)))[0],
+                )
+                assert abs(fit.kkt_residual - want) <= 1e-9 * lam, (factor, fit.kkt_residual, want)
+                if fit.collapsed:
+                    collapsed += 1
+                    assert not fit.eta.any()
+                else:
+                    assert fit.kkt_residual > 0
+        assert collapsed == 2
+
 
 class TestBlockRelaxation:
     def test_zero_data_gives_zero_fit_in_one_sweep(self, rng):
