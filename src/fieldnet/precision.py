@@ -2,10 +2,15 @@
 
 Minimizes ``tr(S Omega) - log det(Omega) + nu * ||Omega||_1,off`` over
 positive definite matrices by block coordinate descent on the working
-covariance: one column at a time is updated through a coordinate-descent
-lasso, and the precision matrix is recovered from the column solutions.
-Only off-diagonal entries are penalized, so large ``nu`` shrinks the
-estimate to ``diag(1 / S_ii)`` rather than deflating the variances.
+covariance ``W`` (Friedman, Hastie & Tibshirani 2008).  Column ``j``
+solves the lasso ``min 0.5 b'Wb - b's_j + nu |b|_1`` (``b_j = 0``) by
+cyclic coordinate descent over its non-zero coefficients, then one
+vectorized KKT pass ``r = s_j - Wb`` admits every zero with ``|r| > nu``
+and the descent repeats; a zero with ``|r| <= nu`` is one a full cyclic
+pass would leave at zero.  ``Wb`` is written back into row and column
+``j``, the coefficients warm-start the next sweep, and the duality gap of
+the recovered precision matrix stops the loop.  Only off-diagonal entries
+are penalized, so large ``nu`` shrinks the estimate to ``diag(1 / S_ii)``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvalidCovarianceError, ShapeError
 
 
 @dataclass
@@ -67,33 +72,24 @@ def _dual_gap(s, omega, w_dual, nu):
     return max(glasso_objective(s, omega, nu) - logdet - omega.shape[0], 0.0)
 
 
-def _lasso_cd(v, s12, nu, beta, tol, max_iter):
-    # minimize 0.5 b'Vb - b's12 + nu |b|_1 by cyclic coordinate descent
-    p = s12.size
-    for _ in range(max_iter):
-        delta = 0.0
-        for q in range(p):
-            r = s12[q] - v[q] @ beta + v[q, q] * beta[q]
-            new = np.sign(r) * max(abs(r) - nu, 0.0) / v[q, q]
-            delta = max(delta, abs(new - beta[q]))
-            beta[q] = new
-        if delta <= tol:
-            break
-    return beta
-
-
 def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
                     max_inner=1000):
     """Penalized precision estimate from a covariance matrix.
 
-    ``s`` must be symmetric (a small asymmetry is averaged away, larger
-    ones raise); an indefinite input is ridge-repaired first.  Exits when
-    the duality gap drops below ``gap_tol``; a result that exhausts
-    ``max_sweeps`` is flagged as not converged.
+    ``s`` must be finite and symmetric (a small asymmetry is averaged
+    away, larger ones raise); an indefinite input is ridge-repaired first.
+    ``max_inner`` caps the coordinate-descent passes of one column lasso,
+    summed over its admission rounds.  Exits when the duality gap drops
+    below ``gap_tol``; a result that exhausts ``max_sweeps`` is flagged as
+    not converged.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"covariance must be square, got {s.shape}")
+    if not np.isfinite(s).all():
+        raise InvalidCovarianceError("covariance has non-finite entries")
+    if not nu >= 0:
+        raise ValueError(f"penalty nu must be non-negative, got {nu}")
     scale = max(np.abs(s).max(), 1.0)
     if np.abs(s - s.T).max() > 1e-8 * scale:
         raise ShapeError("covariance must be symmetric")
@@ -110,8 +106,8 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
     w = s.copy()
     off_mask = ~np.eye(d, dtype=bool)
     w[off_mask] *= 0.95  # keeps the working covariance safely PD
-    betas = np.zeros((d, d - 1))
-    idx = [np.array([i for i in range(d) if i != j]) for j in range(d)]
+    # Row j holds column j's lasso coefficients, with betas[j, j] = 0.
+    betas = np.zeros((d, d))
 
     omega = np.eye(d)
     converged = False
@@ -120,20 +116,39 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
     trace = []
     for sweep in range(1, max_sweeps + 1):
         for j in range(d):
-            sub = idx[j]
-            v = w[np.ix_(sub, sub)]
-            s12 = s[sub, j]
-            beta = _lasso_cd(v, s12, nu, betas[j], inner_tol, max_inner)
-            w12 = v @ beta
-            w[sub, j] = w12
-            w[j, sub] = w12
+            beta = betas[j]
+            act = np.flatnonzero(beta)
+            passes = 0
+            while True:
+                v = w[np.ix_(act, act)]
+                s12 = s[act, j]
+                b = beta[act]
+                while act.size and passes < max_inner:
+                    passes += 1
+                    delta = 0.0
+                    for q in range(act.size):
+                        r = s12[q] - v[q] @ b + v[q, q] * b[q]
+                        new = np.sign(r) * max(abs(r) - nu, 0.0) / v[q, q]
+                        delta = max(delta, abs(new - b[q]))
+                        b[q] = new
+                    if delta <= inner_tol:
+                        break
+                beta[act] = b
+                w12 = w @ beta  # KKT pass over every coordinate
+                viol = (np.abs(s[:, j] - w12) > nu) & (beta == 0)
+                viol[j] = False
+                if passes >= max_inner or not viol.any():
+                    break
+                act = np.flatnonzero((beta != 0) | viol)
+            w12[j] = w[j, j]
+            w[:, j] = w12
+            w[j, :] = w12
         # Recover the precision matrix from the column solutions; the
         # soft-threshold zeros in beta give exact zeros in omega.
         for j in range(d):
-            sub = idx[j]
-            denom = w[j, j] - w[sub, j] @ betas[j]
-            omega[j, j] = 1.0 / denom
-            omega[sub, j] = -betas[j] * omega[j, j]
+            diag = 1.0 / (w[j, j] - w[:, j] @ betas[j])
+            omega[:, j] = -betas[j] * diag
+            omega[j, j] = diag
         omega = (omega + omega.T) / 2.0
         trace.append(glasso_objective(s, omega, nu))
         gap = _dual_gap(s, omega, w, nu)

@@ -8,7 +8,7 @@ import numpy as np
 
 from fieldnet.arrays import vec
 from fieldnet.bases import eval_bspline_basis, network_values
-from fieldnet.precision import glasso_objective
+from fieldnet.precision import glasso_objective, ridge_repair
 
 
 def kron_matrix(factors):
@@ -159,6 +159,53 @@ def dual_glasso(s, nu, iters=40_000, step=None):
 
 def dual_glasso_objective(s, nu, **kw):
     return glasso_objective(s, dual_glasso(s, nu, **kw), nu)
+
+
+def full_sweep_glasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
+                      max_inner=1000):
+    """Column-by-column graphical lasso whose inner lasso is a full cyclic
+    coordinate-descent pass over all D - 1 coordinates of every column.
+
+    Same warm starts, 0.95 start, precision recovery and duality-gap stop
+    as the library, so it must reach the same sweep count and support.
+    Returns ``(omega, n_sweeps, dual_gap)``.
+    """
+    s = ridge_repair(np.asarray(s, dtype=float))
+    d = s.shape[0]
+    w = s.copy()
+    off = ~np.eye(d, dtype=bool)
+    w[off] *= 0.95
+    betas = np.zeros((d, d - 1))
+    idx = [np.array([i for i in range(d) if i != j]) for j in range(d)]
+    omega = np.eye(d)
+    gap = np.inf
+    for sweep in range(1, max_sweeps + 1):
+        for j in range(d):
+            sub = idx[j]
+            v = w[np.ix_(sub, sub)]
+            beta = betas[j]
+            for _ in range(max_inner):
+                delta = 0.0
+                for q in range(d - 1):
+                    r = s[sub[q], j] - v[q] @ beta + v[q, q] * beta[q]
+                    new = np.sign(r) * max(abs(r) - nu, 0.0) / v[q, q]
+                    delta = max(delta, abs(new - beta[q]))
+                    beta[q] = new
+                if delta <= inner_tol:
+                    break
+            w12 = v @ beta
+            w[sub, j] = w12
+            w[j, sub] = w12
+        for j in range(d):
+            sub = idx[j]
+            omega[j, j] = 1.0 / (w[j, j] - w[sub, j] @ betas[j])
+            omega[sub, j] = -betas[j] * omega[j, j]
+        omega = (omega + omega.T) / 2.0
+        sign, logdet = np.linalg.slogdet(np.clip(w, s - nu, s + nu))
+        gap = max(glasso_objective(s, omega, nu) - logdet - d, 0.0) if sign > 0 else np.inf
+        if gap <= gap_tol:
+            break
+    return omega, sweep, gap
 
 
 def naive_degree_maps(beta, basis, eps):

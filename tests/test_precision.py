@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from fieldnet.errors import ShapeError
+from fieldnet import Grid, build_noise_covariance, gaussian_covariance
+from fieldnet.errors import FieldnetError, ShapeError
 from fieldnet.precision import (
     glasso_objective,
     graphical_lasso,
     matrix_sqrt_psd,
     ridge_repair,
 )
-from oracles import dual_glasso
+from oracles import dual_glasso, full_sweep_glasso
 
 
 def random_spd(rng, d, n=8):
@@ -100,6 +101,70 @@ class TestGraphicalLasso:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             graphical_lasso(np.ones((2, 3)), 0.1)
+
+    def test_one_by_one_input_is_exact_inverse(self):
+        est = graphical_lasso(np.array([[2.0]]), 0.1)
+        assert est.omega.tolist() == [[0.5]]
+        assert est.converged
+        assert est.dual_gap == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, bad):
+        s = random_spd(rng, 4)
+        s[1, 2] = s[2, 1] = bad
+        with pytest.raises(FieldnetError, match="non-finite"):
+            graphical_lasso(s, 0.1)
+
+    @pytest.mark.parametrize("nu", [-0.1, np.nan])
+    def test_negative_or_nan_penalty_rejected(self, rng, nu):
+        with pytest.raises(ValueError, match="non-negative"):
+            graphical_lasso(random_spd(rng, 4), nu)
+
+    def test_inner_budget_of_one_pass(self):
+        # a strongly correlated input whose column lassos need many
+        # coordinate-descent passes; one pass per column must still return
+        # a finite estimate whose flag agrees with its certificate
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 40))
+        s = (a + 0.2 * rng.standard_normal((12, 40))) @ a.T / 40
+        s = (s + s.T) / 2.0
+        nu = 0.02 * np.abs(s).max()
+        full = graphical_lasso(s, nu)
+        assert full.converged
+        for sweeps in (1, 3, 500):
+            est = graphical_lasso(s, nu, max_inner=1, max_sweeps=sweeps)
+            assert np.isfinite(est.omega).all()
+            assert est.converged == (est.dual_gap <= 1e-6)
+        assert not np.allclose(graphical_lasso(s, nu, max_inner=1, max_sweeps=1).omega,
+                               graphical_lasso(s, nu, max_sweeps=1).omega)
+
+
+class TestActiveSetMatchesFullSweeps:
+    """The active-set column solver against full cyclic passes."""
+
+    @staticmethod
+    def assert_same_fit(s, nu):
+        est = graphical_lasso(s, nu)
+        omega, n_sweeps, _ = full_sweep_glasso(s, nu)
+        assert est.n_sweeps == n_sweeps
+        assert np.array_equal(est.omega != 0, omega != 0)
+        assert np.linalg.norm(est.omega - omega) <= 1e-9 * np.linalg.norm(omega)
+
+    def test_random_inputs(self):
+        for seed in range(60):
+            loc = np.random.default_rng(seed)
+            d = int(loc.integers(2, 31))
+            s = random_spd(loc, d, n=int(loc.integers(d // 2 + 1, 3 * d + 1)))
+            frac = (0.02, 0.05, 0.1, 0.3)[seed % 4]
+            self.assert_same_fit(s, frac * np.abs(s - np.diag(np.diag(s))).max())
+
+    def test_smooth_kernel_d100(self):
+        grid = Grid(n_x=10, n_y=10, n_steps=10, n_lags=1, dt=0.05,
+                    x_range=(0, 10), y_range=(0, 10))
+        factor = build_noise_covariance(gaussian_covariance(0.75, 0.5), grid).factor
+        z = factor @ np.random.default_rng(0).standard_normal((100, 300))
+        s = z @ z.T / 300
+        self.assert_same_fit(s, 0.05 * np.abs(s).max())
 
 
 class TestHelpers:
