@@ -20,6 +20,7 @@ is a combination of degree-(k+1) splines), not by quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -279,16 +280,26 @@ class BasisSet:
         return self.spec_l.n_basis
 
     @property
+    def coef_shapes(self):
+        """Coefficient array shape of each drift component, in design order."""
+        p_x, p_y = self.p_x, self.p_y
+        return {
+            "stimulus": (p_x, p_y, self.p_t),
+            "network": (p_x, p_y, p_x, p_y, self.p_l),
+            "memory": (p_x, p_y),
+        }
+
+    @property
     def n_stimulus(self):
-        return self.p_x * self.p_y * self.p_t
+        return math.prod(self.coef_shapes["stimulus"])
 
     @property
     def n_network(self):
-        return (self.p_x * self.p_y) ** 2 * self.p_l
+        return math.prod(self.coef_shapes["network"])
 
     @property
     def n_memory(self):
-        return self.p_x * self.p_y
+        return math.prod(self.coef_shapes["memory"])
 
     @property
     def n_parameters(self):
@@ -333,16 +344,21 @@ def default_basis_set(
     n_l_basis=11,
     degree_space=2,
     degree_time=3,
+    degree_lag=None,
     stim_onset=None,
 ):
-    """Basis set with quadratic spatial and cubic temporal splines."""
+    """Basis set with quadratic spatial and cubic temporal splines.
+
+    The lag basis has degree ``degree_lag``, by default ``degree_time``.
+    """
     lo_t = 0.0 if stim_onset is None else float(stim_onset)
+    degree_lag = degree_time if degree_lag is None else degree_lag
     return build_basis_set(
         grid,
         spec_x=uniform_bspline_spec(degree_space, n_x_basis, *grid.x_range),
         spec_y=uniform_bspline_spec(degree_space, n_y_basis, *grid.y_range),
         spec_t=uniform_bspline_spec(degree_time, n_t_basis, lo_t, grid.duration),
-        spec_l=uniform_bspline_spec(degree_time, n_l_basis, -grid.tau, 0.0),
+        spec_l=uniform_bspline_spec(degree_lag, n_l_basis, -grid.tau, 0.0),
         stim_onset=stim_onset,
     )
 
@@ -368,12 +384,7 @@ class DriftCoefficients:
 
     @classmethod
     def zeros(cls, basis):
-        p_x, p_y, p_t, p_l = basis.p_x, basis.p_y, basis.p_t, basis.p_l
-        return cls(
-            alpha=np.zeros((p_x, p_y, p_t)),
-            beta=np.zeros((p_x, p_y, p_x, p_y, p_l)),
-            gamma=np.zeros((p_x, p_y)),
-        )
+        return cls(*(np.zeros(shape) for shape in basis.coef_shapes.values()))
 
     @classmethod
     def from_rank1(cls, zeta, eta, beta, gamma):
@@ -383,24 +394,19 @@ class DriftCoefficients:
         return cls(alpha=alpha, beta=np.asarray(beta, dtype=np.float64),
                    gamma=np.asarray(gamma, dtype=np.float64), zeta=zeta, eta=eta)
 
+    def arrays(self):
+        """The three coefficient arrays in design order."""
+        return (self.alpha, self.beta, self.gamma)
+
     def validate(self, basis):
-        p_x, p_y, p_t, p_l = basis.p_x, basis.p_y, basis.p_t, basis.p_l
-        expected = {
-            "alpha": (p_x, p_y, p_t),
-            "beta": (p_x, p_y, p_x, p_y, p_l),
-            "gamma": (p_x, p_y),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
+        for name, arr, shape in zip(("alpha", "beta", "gamma"), self.arrays(),
+                                    basis.coef_shapes.values()):
             if arr.shape != shape:
                 raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
 
     def nonzero_counts(self):
-        return {
-            "stimulus": int(np.count_nonzero(self.alpha)),
-            "network": int(np.count_nonzero(self.beta)),
-            "memory": int(np.count_nonzero(self.gamma)),
-        }
+        names = ("stimulus", "network", "memory")
+        return {name: int(np.count_nonzero(arr)) for name, arr in zip(names, self.arrays())}
 
 
 def stimulus_values(coeffs, basis, x, y, t):

@@ -23,7 +23,7 @@ from . import __version__
 from .arrays import read_dta1, write_dta1
 from .bases import DriftCoefficients, stimulus_frames
 from .config import load_config, make_basis, make_grid, make_solver_options, stimulus_weights
-from .design import build_design, model_parameter_count, naive_var_parameter_count
+from .design import build_design, naive_var_parameter_count
 from .errors import ConfigError, DivergenceError, FieldnetError, InvalidCovarianceError, ShapeError
 from .simulate import (
     SimConfig,
@@ -69,13 +69,11 @@ def _generate_truth(cfg, basis, rng):
     zeta = eta = None
     if sim["stimulus"] == "rank1":
         zeta = np.abs(rng.standard_normal(basis.p_t))
-        eta = np.zeros((basis.p_x, basis.p_y))
+        eta = np.zeros(basis.coef_shapes["stimulus"][:-1])
         k = min(sim["stimulus_nonzeros"], eta.size)
         pos = rng.choice(eta.size, size=k, replace=False)
         eta.ravel()[pos] = sim["stimulus_scale"] * (0.5 + rng.random(k))
         coeffs = DriftCoefficients.from_rank1(zeta, eta, coeffs.beta, coeffs.gamma)
-    elif sim["stimulus"] != "none":
-        raise ConfigError(f"[simulate] stimulus: unknown mode {sim['stimulus']!r}")
     n_net = sim["network_nonzeros"]
     if n_net:
         flat = coeffs.beta.reshape(-1)
@@ -89,19 +87,11 @@ def _generate_truth(cfg, basis, rng):
 
 def _noise_model(cfg, grid):
     sim = cfg.sections["simulate"]
-    kind = sim["noise"]
-    if sim["noise_scale"] < 0:
-        raise ConfigError(f"[simulate] noise_scale: must be non-negative, got {sim['noise_scale']}")
-    if sim["noise_length"] <= 0:
-        raise ConfigError(f"[simulate] noise_length: must be positive, got {sim['noise_length']}")
-    if kind == "none" or sim["noise_scale"] == 0:
+    if sim["noise"] == "none" or sim["noise_scale"] == 0:
         return None
-    if kind == "white":
-        return build_noise_covariance(white_covariance(sim["noise_scale"]), grid)
-    if kind == "gaussian":
-        cov = gaussian_covariance(sim["noise_length"], sim["noise_scale"])
-        return build_noise_covariance(cov, grid)
-    raise ConfigError(f"[simulate] noise: unknown kind {kind!r}")
+    cov = (white_covariance(sim["noise_scale"]) if sim["noise"] == "white"
+           else gaussian_covariance(sim["noise_length"], sim["noise_scale"]))
+    return build_noise_covariance(cov, grid)
 
 
 def cmd_simulate(cfg, out_dir):
@@ -115,11 +105,8 @@ def cmd_simulate(cfg, out_dir):
     data = simulate_euler(SimConfig(grid=grid, seed=cfg.seed), truth, basis, noise)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {}
-    outputs["data.dta1"] = data
-    outputs["truth_alpha.dta1"] = truth.alpha
-    outputs["truth_beta.dta1"] = truth.beta
-    outputs["truth_gamma.dta1"] = truth.gamma
+    outputs = {"data.dta1": data, "truth_alpha.dta1": truth.alpha,
+               "truth_beta.dta1": truth.beta, "truth_gamma.dta1": truth.gamma}
     if truth.zeta is not None:
         outputs["truth_zeta.dta1"] = truth.zeta
         outputs["truth_eta.dta1"] = truth.eta
@@ -155,7 +142,7 @@ def build_report(result, basis, grid):
     return {
         "lambda_path": [float(v) for v in result.lambda_path],
         "fits": [_lambda_fit_payload(f) for f in result.fits],
-        "parameter_count": model_parameter_count(basis.p_x, basis.p_y, basis.p_t, basis.p_l),
+        "parameter_count": basis.n_parameters,
         "naive_var_parameter_count": naive_var_parameter_count(grid.n_lags, grid.n_pixels),
         "best_index": result.best_index(),
     }
@@ -166,11 +153,7 @@ def _write_fit_artifacts(out_dir, result, suffix=""):
     for i, fit in enumerate(result.fits):
         sub = out_dir / f"lambda{suffix}_{i:02d}"
         sub.mkdir(parents=True, exist_ok=True)
-        blocks = {
-            "alpha": fit.coeffs.alpha,
-            "beta": fit.coeffs.beta,
-            "gamma": fit.coeffs.gamma,
-        }
+        blocks = dict(zip(("alpha", "beta", "gamma"), fit.coeffs.arrays()))
         if fit.coeffs.zeta is not None:
             blocks["zeta"] = fit.coeffs.zeta
             blocks["eta"] = fit.coeffs.eta
@@ -185,8 +168,6 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     basis = make_basis(cfg)
     pen_cfg = cfg.sections["penalty"]
     n_lambdas = pen_cfg["n_lambdas"]
-    if n_lambdas < 1:
-        raise ConfigError(f"[penalty] n_lambdas: must be at least 1, got {n_lambdas}")
     use_mrce = cfg.get("solver", "mrce", False)
     if lambda_index is None:
         lambda_index = cfg.get("solver", "mrce_lambda_index")
@@ -204,7 +185,12 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             f"data shape {data.shape} does not match grid "
             f"({grid.n_x}, {grid.n_y}, {grid.n_frames})"
         )
-    design = build_design(data, basis, response=cfg.get("solver", "response", "levels"))
+    # a support score needs the truth: check it before the fit, not after
+    truth = None if truth_beta is None else read_dta1(truth_beta)
+    if truth is not None and truth.shape != basis.coef_shapes["network"]:
+        raise ConfigError(f"{truth_beta}: network truth has shape {truth.shape}, "
+                          f"expected {basis.coef_shapes['network']}")
+    design = build_design(data, basis)
     opts = make_solver_options(cfg)
     stim_w = stimulus_weights(cfg, basis)
     probe = PenaltySpec(np.array([1.0]), weights_stimulus=stim_w)
@@ -253,8 +239,7 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             "precision_sweeps": int(mrce.precision.n_sweeps),
             "first_round": build_report(mrce.first, basis, grid),
         }
-    if truth_beta is not None:
-        truth = read_dta1(truth_beta)
+    if truth is not None:
         scores = [support_scores(f.coeffs.beta, truth) for f in result.fits]
         report["support_scores"] = scores
         best = max(range(len(scores)), key=lambda i: scores[i]["recall"] - scores[i]["false_positive_rate"])
@@ -292,15 +277,17 @@ def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
     report_path = fit_dir / "report.json"
     if not report_path.exists():
         raise ConfigError(f"missing fit report: {report_path}")
-    report = json.loads(report_path.read_text())
-    idx = report["best_index"] if lambda_index is None else int(lambda_index)
-    sub = fit_dir / f"lambda_{idx:02d}"
+    try:
+        report = json.loads(report_path.read_text())
+        idx = report["best_index"] if lambda_index is None else int(lambda_index)
+        sub = fit_dir / f"lambda_{idx:02d}"
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{report_path}: not a fit report ({exc!r})") from exc
     if not sub.exists():
         raise ConfigError(f"missing fit artifacts: {sub}")
-    beta = read_dta1(sub / "beta.dta1")
-    alpha = read_dta1(sub / "alpha.dta1")
-    gamma = read_dta1(sub / "gamma.dta1")
-    coeffs = DriftCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    coeffs = DriftCoefficients(*(read_dta1(sub / f"{name}.dta1")
+                                 for name in ("alpha", "beta", "gamma")))
+    beta = coeffs.beta
 
     out_dir.mkdir(parents=True, exist_ok=True)
     maps = compute_degree_maps(beta, basis)

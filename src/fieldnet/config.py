@@ -11,12 +11,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .bases import Grid, build_basis_set, uniform_bspline_spec
+from .bases import Grid, default_basis_set
 from .errors import ConfigError
 from .solver import SolverOptions
 
@@ -54,14 +55,39 @@ _SCHEMA = {
 
 _DEFAULTS = {
     "grid": {"x_lo": 0.0, "x_hi": 1.0, "y_lo": 0.0, "y_hi": 1.0},
-    "basis": {"n_x_basis": 8, "n_y_basis": 8, "n_t_basis": 27, "n_l_basis": 11,
-              "degree_space": 2, "degree_time": 3},
     "simulate": {"stimulus": "none", "stimulus_scale": 1.0, "stimulus_nonzeros": 4,
                  "network_nonzeros": 0, "network_scale": 0.0, "memory_scale": 0.0,
                  "noise": "none", "noise_scale": 0.0, "noise_length": 0.3},
     "solver": {"mrce": False, "response": "levels"},
     "penalty": {"n_lambdas": 10, "lambda_min_ratio": 1e-3, "nu": 0.1,
                 "stim_weight": 0.1, "stim_window": 0.1},
+}
+
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), f"must be one of {', '.join(choices)}"
+
+
+# Allowed values, checked once defaults are filled in: (test, message).
+_RANGES = {
+    "run": {"seed": _NON_NEGATIVE},
+    "simulate": {
+        "stimulus": _one_of("none", "rank1"), "stimulus_nonzeros": _NON_NEGATIVE,
+        "network_nonzeros": _NON_NEGATIVE, "noise": _one_of("none", "white", "gaussian"),
+        "noise_scale": _NON_NEGATIVE, "noise_length": (lambda v: v > 0, "must be positive"),
+    },
+    "solver": {
+        "tol_inner": _NON_NEGATIVE, "max_inner": _AT_LEAST_ONE, "tol_outer": _NON_NEGATIVE,
+        "max_sweeps": _AT_LEAST_ONE, "tol_rank1": _NON_NEGATIVE, "max_rank1": _AT_LEAST_ONE,
+        "response": _one_of("levels"),
+    },
+    "penalty": {
+        "n_lambdas": _AT_LEAST_ONE, "nu": _NON_NEGATIVE, "stim_weight": _NON_NEGATIVE,
+        "lambda_min_ratio": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    },
 }
 
 
@@ -98,9 +124,15 @@ def _coerce(section, key, text):
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(text)
-        return kind(text)
+        if isinstance(text, bool) or (kind is int and isinstance(text, float)
+                                      and not text.is_integer()):
+            raise ValueError(text)
+        value = kind(text)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {text!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {text!r}")
+    return value
 
 
 def load_config(path):
@@ -113,36 +145,28 @@ def load_config(path):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    stripped = text.lstrip()
-    sections = {}
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object of sections")
-        for name, body in doc.items():
-            if name not in _SCHEMA:
-                raise ConfigError(f"[{name}]: unknown section")
-            if not isinstance(body, dict):
-                raise ConfigError(f"[{name}]: must be an object")
-            sections[name] = {k: _coerce(name, k, v) for k, v in body.items()}
     else:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        for name in parser.sections():
-            if name not in _SCHEMA:
-                raise ConfigError(f"[{name}]: unknown section")
-            body = {}
-            for key, value in parser.items(name):
-                if value.strip() == "":
-                    continue
-                body[key] = _coerce(name, key, value.strip())
-            sections[name] = body
+        doc = {name: {key: value.strip() for key, value in parser.items(name) if value.strip()}
+               for name in parser.sections()}
+    sections = {}
+    for name, body in doc.items():
+        if name not in _SCHEMA:
+            raise ConfigError(f"[{name}]: unknown section")
+        if not isinstance(body, dict):
+            raise ConfigError(f"[{name}]: must be an object")
+        sections[name] = {key: _coerce(name, key, value) for key, value in body.items()}
     explicit = frozenset(sections)
     for name, defaults in _DEFAULTS.items():
         body = sections.setdefault(name, {})
@@ -151,6 +175,11 @@ def load_config(path):
     missing = [s for s in _REQUIRED_SECTIONS if s not in explicit]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
+    for section, rules in _RANGES.items():
+        for key, (allowed, rule) in rules.items():
+            value = sections[section].get(key)
+            if value is not None and not allowed(value):
+                raise ConfigError(f"[{section}] {key}: {rule}, got {value!r}")
     for section, keys in (("run", ("seed",)), ("grid", ("n_x", "n_y", "n_steps", "n_lags", "dt")),
                           ("io", ("out_dir",))):
         for key in keys:
@@ -173,31 +202,15 @@ def make_grid(cfg):
 
 
 def make_basis(cfg):
-    grid = make_grid(cfg)
-    b = cfg.sections["basis"]
-    onset = b.get("stim_onset")
     try:
-        lo_t = 0.0 if onset is None else float(onset)
-        return build_basis_set(
-            grid,
-            spec_x=uniform_bspline_spec(b["degree_space"], b["n_x_basis"], *grid.x_range),
-            spec_y=uniform_bspline_spec(b["degree_space"], b["n_y_basis"], *grid.y_range),
-            spec_t=uniform_bspline_spec(b["degree_time"], b["n_t_basis"], lo_t, grid.duration),
-            spec_l=uniform_bspline_spec(b.get("degree_lag", b["degree_time"]), b["n_l_basis"], -grid.tau, 0.0),
-            stim_onset=onset,
-        )
+        return default_basis_set(make_grid(cfg), **cfg.sections["basis"])
     except ValueError as exc:
         raise ConfigError(f"[basis]: {exc}") from exc
 
 
 def make_solver_options(cfg):
-    s = cfg.sections.get("solver", {})
-    opts = SolverOptions()
-    for key in ("tol_inner", "max_inner", "tol_outer", "max_sweeps", "tol_rank1",
-                "max_rank1"):
-        if key in s:
-            setattr(opts, key, s[key])
-    return opts
+    s = cfg.sections["solver"]
+    return SolverOptions(**{f.name: s[f.name] for f in fields(SolverOptions) if f.name in s})
 
 
 def stimulus_weight_profile(spec_t, onset, offset, window, low_weight=0.1):
@@ -229,4 +242,4 @@ def stimulus_weights(cfg, basis):
     profile = stimulus_weight_profile(
         basis.spec_t, start, stop, p.get("stim_window", 0.1), p.get("stim_weight", 0.1)
     )
-    return np.broadcast_to(profile, (basis.p_x, basis.p_y, basis.p_t))
+    return np.broadcast_to(profile, basis.coef_shapes["stimulus"])

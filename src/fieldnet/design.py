@@ -15,13 +15,14 @@ Each part is a :class:`_KronBlock`.  A :class:`_StackedBlock` puts blocks
 side by side: over all three it is the ``X`` of :func:`linear_predictor`
 and :func:`gradient`, over network and memory the solver's joint block.
 
-The response for modeled frame ``k`` is observation frame ``k + 1``; by
-default the lagged frame enters as a fixed offset so the fitted
-coefficients describe the frame-to-frame increment.
+The response for modeled frame ``k`` is observation frame ``k + 1``.  The
+lagged frame ``k`` enters as a fixed offset, so the regression target is
+the frame-to-frame increment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -63,17 +64,16 @@ def compute_convolution_tensor(data, basis, n_lags=None):
 class ImplicitDesign:
     """Factors and data views needed to act with the design matrix.
 
-    ``response`` holds frames ``1..M``; ``offset`` (levels convention) the
-    frames ``0..M-1`` entering as a fixed additive term; ``v_lag1`` the
-    same lagged frames feeding the memory block.  ``omega`` optionally
-    weights frames by a precision matrix during fitting.
+    ``response`` holds frames ``1..M``; ``v_lag1`` the frames ``0..M-1``,
+    which enter as a fixed additive term and feed the memory block.
+    ``omega`` optionally weights frames by a precision matrix during
+    fitting.
     """
 
     basis: object
     response: np.ndarray
     v_lag1: np.ndarray
     phi_xyt: np.ndarray
-    offset: Optional[np.ndarray] = None
     omega: Optional[np.ndarray] = None
 
     @property
@@ -82,10 +82,8 @@ class ImplicitDesign:
 
     @property
     def target(self):
-        """Response minus the fixed offset."""
-        if self.offset is None:
-            return self.response
-        return self.response - self.offset
+        """Response minus the lagged frames: the one-step increments."""
+        return self.response - self.v_lag1
 
     def with_omega(self, omega):
         return replace(self, omega=omega)
@@ -94,30 +92,22 @@ class ImplicitDesign:
 def build_design(data, basis, response="levels"):
     """Slice the observed frames into an :class:`ImplicitDesign`.
 
-    ``response='levels'`` regresses frame ``k+1`` with frame ``k`` as a
-    fixed offset; ``response='increments'`` regresses the one-step
-    differences directly.  Both give identical residuals and fits.
+    Frame ``k+1`` is regressed with frame ``k`` as a fixed offset;
+    ``'levels'`` is the only ``response`` convention.
     """
+    if response != "levels":
+        raise ValueError(f"unknown response convention {response!r}")
     grid = basis.grid
     data = np.asarray(data, dtype=np.float64)
     expected = (grid.n_x, grid.n_y, grid.n_frames)
     if data.shape != expected:
         raise ShapeError(f"data has shape {data.shape}, expected {expected}")
     n_lags, n_steps = grid.n_lags, grid.n_steps
-    lagged = data[:, :, n_lags : n_lags + n_steps]
-    following = data[:, :, n_lags + 1 : n_lags + n_steps + 1]
-    if response == "levels":
-        resp, offset = following, lagged
-    elif response == "increments":
-        resp, offset = following - lagged, None
-    else:
-        raise ValueError(f"unknown response convention {response!r}")
     return ImplicitDesign(
         basis=basis,
-        response=resp,
-        v_lag1=lagged,
+        response=data[:, :, n_lags + 1 : n_lags + n_steps + 1],
+        v_lag1=data[:, :, n_lags : n_lags + n_steps],
         phi_xyt=compute_convolution_tensor(data, basis),
-        offset=offset,
     )
 
 
@@ -125,15 +115,18 @@ class _KronBlock:
     """One design block: a chain of mode factors, optionally followed by a
     Hadamard multiplier, acting on a coefficient array.
 
-    A multiplier with more modes than the factor chain repeats the chain's
-    output along its trailing modes; the adjoint sums over them.
+    Coefficient modes beyond the last factor are folded (column-major) into
+    that factor's mode.  A multiplier with more modes than the factor chain
+    repeats the chain's output along its trailing modes; the adjoint sums
+    over them.
     """
 
-    def __init__(self, name, factors, coef_shape, kron_shape=None, multiplier=None):
+    def __init__(self, name, factors, coef_shape, multiplier=None):
         self.name = name
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         self.coef_shape = tuple(coef_shape)
-        self.kron_shape = tuple(kron_shape) if kron_shape is not None else self.coef_shape
+        last = len(self.factors) - 1
+        self.kron_shape = self.coef_shape[:last] + (math.prod(self.coef_shape[last:]),)
         self.multiplier = multiplier
         self._repeat = 0 if multiplier is None else multiplier.ndim - len(self.factors)
 
@@ -180,22 +173,18 @@ class _KronBlock:
 
 def stimulus_block(design):
     b = design.basis
-    return _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], (b.p_x, b.p_y, b.p_t))
+    return _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], b.coef_shapes["stimulus"])
 
 
 def network_block(design):
     b = design.basis
-    return _KronBlock(
-        "network",
-        [b.int_x, b.int_y, design.phi_xyt],
-        (b.p_x, b.p_y, b.p_x, b.p_y, b.p_l),
-        kron_shape=(b.p_x, b.p_y, b.p_x * b.p_y * b.p_l),
-    )
+    return _KronBlock("network", [b.int_x, b.int_y, design.phi_xyt], b.coef_shapes["network"])
 
 
 def memory_block(design):
     b = design.basis
-    return _KronBlock("memory", [b.phi_x, b.phi_y], (b.p_x, b.p_y), multiplier=design.v_lag1)
+    return _KronBlock("memory", [b.phi_x, b.phi_y], b.coef_shapes["memory"],
+                      multiplier=design.v_lag1)
 
 
 class _StackedBlock:
@@ -224,9 +213,12 @@ class _StackedBlock:
         return self.stack([b.adjoint(fieldarr) for b in self.blocks])
 
     def lipschitz(self, omega=None):
-        """Sum of the parts' exact constants, an upper bound on the stacked
-        one because ``||[A B]||^2 <= ||A||^2 + ||B||^2``."""
-        return float(sum(b.lipschitz(omega) for b in self.blocks))
+        """Per-coordinate constants: ``n L_b`` on the coordinates of part
+        ``b``, with ``L_b`` its exact constant and ``n`` the part count.  They
+        majorize the stacked normal operator, because ``X^T X <= n diag(X_1^T
+        X_1, ..., X_n^T X_n)`` for ``X = [X_1 ... X_n]``."""
+        n = len(self.blocks)
+        return np.repeat([n * b.lipschitz(omega) for b in self.blocks], np.diff(self._bounds))
 
 
 def _design_blocks(design):
@@ -257,7 +249,7 @@ def linear_predictor(coeffs, design):
     """Action of the design on the coefficients, shape ``(n_x, n_y, M)``."""
     coeffs.validate(design.basis)
     block = design_block(design)
-    return block.predict(block.stack([coeffs.alpha, coeffs.beta, coeffs.gamma]))
+    return block.predict(block.stack(coeffs.arrays()))
 
 
 def gradient(residual, design):

@@ -2,7 +2,7 @@
 
 The estimator minimizes
 
-    1/2 sum_k || Omega^(1/2) (y_k - offset_k - (X theta)_k) ||^2
+    1/2 sum_k || Omega^(1/2) (y_k - y_(k-1) - (X theta)_k) ||^2
     + lambda * sum_i w_i |theta_i|
 
 over the stacked coefficient blocks, without forming the design matrix.
@@ -11,8 +11,9 @@ the stimulus under a rank-one constraint (spatially modulated common
 temporal signal), then the propagation and memory blocks as one lasso on
 their stacked design.  Each lasso runs a monotone accelerated proximal
 gradient method with the step ``1 / L`` (``L`` a block's exact Lipschitz
-constant; the sum of both for the stacked pair), so the full penalized
-objective is non-increasing across every sub-solve.
+constant; for the stacked pair, twice each part's own constant on that
+part's coordinates), so the full penalized objective is non-increasing
+across every sub-solve.
 The outer loop couples this with precision estimation (graphical lasso on
 the residual covariance) and a refit on precision-weighted data.
 """
@@ -96,13 +97,8 @@ class PenaltySpec:
             raise ValueError("nu must be non-negative")
 
     def weights_for(self, basis):
-        shapes = {
-            "stimulus": (basis.p_x, basis.p_y, basis.p_t),
-            "network": (basis.p_x, basis.p_y, basis.p_x, basis.p_y, basis.p_l),
-            "memory": (basis.p_x, basis.p_y),
-        }
         out = {}
-        for name, shape in shapes.items():
+        for name, shape in basis.coef_shapes.items():
             w = getattr(self, f"weights_{name}")
             out[name] = np.ones(shape) if w is None else np.broadcast_to(w, shape).astype(float)
         return out
@@ -184,7 +180,8 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
                   lipschitz=None):
     """Weighted-lasso fit of one block by monotone accelerated proximal
     gradient with the fixed step ``1 / L``, ``L`` the block's exact
-    Lipschitz constant (``block.lipschitz(omega)`` unless given).
+    Lipschitz constant or, for a stacked block, its per-coordinate
+    constants (``block.lipschitz(omega)`` unless given).
 
     ``target`` is the partial residual the block is fitted against.  The
     returned objective never exceeds the warm-start objective, and the
@@ -209,14 +206,16 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
             return float(np.abs(g).max()), True
         return kkt_residual(g, theta, lam, weights)
 
-    lip = block.lipschitz(omega) if lipschitz is None else lipschitz
-    if lip <= 1e-300:
+    lip = np.asarray(block.lipschitz(omega) if lipschitz is None else lipschitz)
+    if lip.max() <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
         coef = np.zeros(block.coef_shape) if lam > 0 else x
         obj = objective(coef)
         return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True)
 
-    step = 1.0 / lip
+    # A stacked part with all-zero columns has constant zero and keeps step 0.
+    step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
+    threshold = step * lam * weights
     f_best = objective(x)
     if not np.isfinite(f_best):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
@@ -229,7 +228,7 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
 
     for it in range(1, opts.max_inner + 1):
         n_iter = it
-        cand = soft_threshold(y - step * grad(y), step * lam * weights)
+        cand = soft_threshold(y - step * grad(y), threshold)
         obj_cand = objective(cand)
         if not np.isfinite(obj_cand):
             raise DivergenceError(f"component fit diverged for block {block.name!r}")
@@ -278,8 +277,7 @@ def standardized_weights(design):
     nconv = np.linalg.norm(design.phi_xyt, axis=0)
     w_stim = np.einsum("a,b,c->abc", nx, ny, nt)
     w_net = np.einsum("a,b,c->abc", nix, niy, nconv).reshape(
-        basis.p_x, basis.p_y, basis.p_x, basis.p_y, basis.p_l, order="F"
-    )
+        basis.coef_shapes["network"], order="F")
     sq = np.einsum("ma,nb,mnk->ab", basis.phi_x**2, basis.phi_y**2, design.v_lag1**2)
     w_mem = np.sqrt(sq)
     return {"stimulus": w_stim, "network": w_net, "memory": w_mem}
@@ -319,8 +317,7 @@ def _rank1_init(design, target):
     """Leading separable direction of the stimulus-block gradient at zero."""
     block = stimulus_block(design)
     g = block.adjoint(weight_frames(target, design.omega))
-    b = design.basis
-    mat = g.reshape(b.p_x * b.p_y, b.p_t, order="F")
+    mat = g.reshape(-1, g.shape[-1], order="F")
     _, _, vt = np.linalg.svd(mat, full_matrices=False)
     zeta = vt[0]
     peak = int(np.abs(zeta).argmax())
@@ -348,13 +345,13 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     opts = options or SolverOptions()
     basis = design.basis
     omega = design.omega
+    shape = basis.coef_shapes["stimulus"]  # (space..., time)
     if weights is None:
-        weights = np.ones((basis.p_x, basis.p_y, basis.p_t))
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64),
-                              (basis.p_x, basis.p_y, basis.p_t))
+        weights = np.ones(shape)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
 
     zeta = None if warm_zeta is None else np.array(warm_zeta, dtype=np.float64)
-    eta = (np.zeros((basis.p_x, basis.p_y)) if warm_eta is None
+    eta = (np.zeros(shape[:-1]) if warm_eta is None
            else np.array(warm_eta, dtype=np.float64))
     if zeta is None or not zeta.any():
         zeta = _rank1_init(design, target)
@@ -364,8 +361,8 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         zeta = zeta / nz
         eta = eta * nz
 
-    space = _KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], (basis.p_x, basis.p_y))
-    times = _KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,))
+    space = _KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], shape[:-1])
+    times = _KronBlock("stimulus-zeta", [basis.phi_t], shape[-1:])
     lip_space = space.lipschitz(omega)
     lip_times = times.lipschitz()
     stimulus = stimulus_block(design)
@@ -421,6 +418,8 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     kkt = max(kkt_residual(grad @ zeta, eta, lam, weights @ np.abs(zeta))[0],
               kkt_residual(np.tensordot(eta, grad, 2), zeta, lam,
                            np.tensordot(np.abs(eta), weights, 2))[0])
+    # a stalled objective is not a solution unless the factors are stationary
+    converged = bool(converged and (lam == 0 or kkt <= KKT_TOL_FACTOR * lam))
     return Rank1Fit(zeta, eta, alpha, obj, n_alt, total_iter, converged, collapsed, kkt)
 
 
@@ -478,7 +477,8 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
     Each sweep fits the rank-one stimulus, then the network and memory
     blocks jointly.  ``lam`` may be zero (pure least squares).  ``warm`` is
     an optional ``DriftCoefficients`` whose rank-one factors seed the
-    stimulus; ``lipschitz`` is the joint block's step constant.
+    stimulus; ``lipschitz`` holds the joint block's per-coordinate step
+    constants.
     """
     opts = options or SolverOptions()
     if penalty_weights is None:

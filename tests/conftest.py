@@ -34,13 +34,8 @@ def tiny_instance(rng, max_grid=4, max_steps=12, max_lags=3, max_basis=3):
 
 
 def random_coeffs(rng, basis, scale=1.0):
-    return DriftCoefficients(
-        alpha=scale * rng.standard_normal((basis.p_x, basis.p_y, basis.p_t)),
-        beta=scale * rng.standard_normal(
-            (basis.p_x, basis.p_y, basis.p_x, basis.p_y, basis.p_l)
-        ),
-        gamma=scale * rng.standard_normal((basis.p_x, basis.p_y)),
-    )
+    return DriftCoefficients(*(scale * rng.standard_normal(shape)
+                               for shape in basis.coef_shapes.values()))
 
 
 @pytest.fixture

@@ -33,6 +33,15 @@ def tree_digest(root):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("seed", [1.7, "1.7", True])
+    def test_non_integral_int_rejected(self, tmp_path, seed):
+        doc = {sec: dict(body) for sec, body in load_config(QUICKSTART).sections.items()}
+        doc["run"]["seed"] = seed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=r"\[run\] seed"):
+            load_config(path)
+
     def test_ini_and_json_equivalent(self, tmp_path):
         cfg = load_config(QUICKSTART)
         doc = {sec: dict(body) for sec, body in cfg.sections.items()}
@@ -146,7 +155,10 @@ class TestSimulateCommand:
         "noise = white\nnoise_scale = -0.3",
         "noise = gaussian\nnoise_scale = 0.3\nnoise_length = 0",
         "noise = white\nnoise_scale = 0.3\nnoise_length = -1",
-    ], ids=["negative-scale", "gaussian-zero-length", "negative-length"])
+        "noise = white\nnoise_scale = nan",
+        "noise = brown\nnoise_scale = 0.3",
+    ], ids=["negative-scale", "gaussian-zero-length", "negative-length", "nan-scale",
+            "unknown-kind"])
     def test_bad_noise_settings_exit_2(self, tmp_path, capsys, noise):
         path = tmp_path / "noise.ini"
         path.write_text(QUICKSTART.read_text().replace("noise = white\nnoise_scale = 0.3", noise))
@@ -272,7 +284,62 @@ MALFORMED_DTA1 = {
 }
 
 
+BAD_CONFIG_VALUES = {
+    "lambda-min-ratio-zero": ("fit", {"lambda_min_ratio": "0"}),
+    "lambda-min-ratio-negative": ("fit", {"lambda_min_ratio": "-0.1"}),
+    "lambda-min-ratio-above-one": ("fit", {"lambda_min_ratio": "2"}),
+    "lambda-min-ratio-nan": ("fit", {"lambda_min_ratio": "nan"}),
+    "nu-negative": ("fit", {"mrce": "true", "nu": "-1"}),
+    "nu-nan": ("fit", {"mrce": "true", "nu": "nan"}),
+    "response-increments": ("fit", {"response": "increments"}),
+    "response-unknown": ("fit", {"response": "foo"}),
+    "max-sweeps-zero": ("fit", {"max_sweeps": "0"}),
+    "tol-inner-negative": ("fit", {"tol_inner": "-1e-6"}),
+    "network-nonzeros-negative": ("simulate", {"network_nonzeros": "-1"}),
+    "stimulus-nonzeros-negative": ("simulate", {"stimulus_nonzeros": "-2"}),
+    "stimulus-unknown": ("simulate", {"stimulus": "rank2"}),
+    "seed-negative": ("simulate", {"seed": "-1"}),
+    "dt-nan": ("simulate", {"dt": "nan"}),
+}
+
+
 class TestFitInputErrors:
+    @pytest.mark.parametrize("command,overrides", list(BAD_CONFIG_VALUES.values()),
+                             ids=list(BAD_CONFIG_VALUES))
+    def test_bad_config_value_exits_2(self, pipeline, tmp_path, capsys, command, overrides):
+        sim, _, _ = pipeline
+        argv = [command, "--config", str(write_config(tmp_path, **overrides)),
+                "--out", str(tmp_path / "o")]
+        if command == "fit":
+            argv += ["--data", str(sim / "data.dta1")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"] {list(overrides)[-1]}: " in err[0], err
+
+    @pytest.mark.parametrize("report", ["not json", "{}", "[]"],
+                             ids=["not-json", "no-best-index", "not-an-object"])
+    def test_bad_fit_report_exits_2(self, tmp_path, capsys, report):
+        fit = tmp_path / "fit"
+        fit.mkdir()
+        (fit / "report.json").write_text(report)
+        code = main(["summarize", "--config", str(QUICKSTART), "--fit", str(fit),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert_single_error_line(capsys)
+
+    def test_wrongly_shaped_truth_exits_2_before_fitting(self, pipeline, tmp_path, capsys):
+        sim, _, _ = pipeline
+        truth = tmp_path / "truth.dta1"
+        write_dta1(truth, np.zeros((3, 3, 3, 3)))
+        out = tmp_path / "o"
+        code = main(["fit", "--config", str(QUICKSTART), "--data", str(sim / "data.dta1"),
+                     "--out", str(out), "--truth-beta", str(truth)])
+        assert code == 2
+        assert_single_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", list(MALFORMED_DTA1.values()), ids=list(MALFORMED_DTA1))
     def test_malformed_data_file_exits_2(self, tmp_path, capsys, raw):
         bad = tmp_path / "bad.dta1"
@@ -339,6 +406,9 @@ class TestConvergenceWarnings:
         report = json.loads((out / "report.json").read_text())
         for fit in report["fits"]:
             assert fit["iterations"]["network"] == fit["iterations"]["memory"]
+            # a converged stimulus must also be stationary
+            if fit["converged"]["stimulus"]:
+                assert fit["kkt"]["stimulus"] <= 1e-4 * fit["lambda"], fit
         assert any(f["kkt"]["stimulus"] > 0 for f in report["fits"])
 
     def test_unconverged_levels_warn_and_exit_0(self, pipeline, tmp_path, capsys):

@@ -6,6 +6,7 @@ from conftest import random_coeffs, tiny_instance
 from fieldnet import (
     DriftCoefficients,
     Grid,
+    PenaltySpec,
     build_basis_set,
     build_design,
     compute_convolution_tensor,
@@ -87,11 +88,13 @@ class TestLinearPredictor:
             rhs = vec(linear_predictor(coeffs, design))
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
 
-    def test_response_conventions_share_target(self, rng):
+    def test_levels_is_the_only_response_convention(self, rng):
         grid, basis, data, design = simple_setup(rng)
-        inc = build_design(data, basis, response="increments")
-        assert np.allclose(design.target, inc.target, atol=1e-15)
-        assert inc.offset is None
+        lags = grid.n_lags
+        increments = np.diff(data, axis=2)[:, :, lags : lags + grid.n_steps]
+        assert np.array_equal(design.target, increments)
+        with pytest.raises(ValueError, match="increments"):
+            build_design(data, basis, response="increments")
 
 
 class TestGradient:
@@ -211,11 +214,12 @@ class TestStackedBlock:
                 want = dense.T @ weighted
                 got = block.adjoint(weight_frames(resid, omega))
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                # the per-coordinate constants D majorize the normal matrix:
+                # the top eigenvalue of D^-1/2 X^T Omega X D^-1/2 is at most 1
                 lip = block.lipschitz(omega)
-                net, mem = blocks["network"], blocks["memory"]
-                assert lip == net.lipschitz(omega) + mem.lipschitz(omega)
-                exact = TestLipschitz.top_eigenvalue(dense, omega, d)
-                assert lip >= exact * (1 - 1e-12), (lip, exact)
+                assert lip.shape == theta.shape
+                scaled = TestLipschitz.top_eigenvalue(dense / np.sqrt(lip), omega, d)
+                assert scaled <= 1 + 1e-12, scaled
 
     def test_predictor_and_gradient_equal_per_block_sums(self, rng):
         for _ in range(5):
@@ -230,6 +234,23 @@ class TestStackedBlock:
             for got, name in ((grad.alpha, "stimulus"), (grad.beta, "network"),
                               (grad.gamma, "memory")):
                 assert np.array_equal(got, blocks[name].adjoint(pred))
+
+
+class TestCoefShapes:
+    def test_every_layout_follows_the_basis_table(self, rng):
+        for _ in range(5):
+            _, basis, _, design = tiny_instance(rng)
+            shapes = basis.coef_shapes
+            assert list(shapes) == ["stimulus", "network", "memory"]
+            blocks = _design_blocks(design)
+            assert {name: b.coef_shape for name, b in blocks.items()} == shapes
+            zeros = DriftCoefficients.zeros(basis)
+            assert [a.shape for a in zeros.arrays()] == list(shapes.values())
+            weights = PenaltySpec(np.array([1.0])).weights_for(basis)
+            assert {name: w.shape for name, w in weights.items()} == shapes
+            counts = (basis.n_stimulus, basis.n_network, basis.n_memory)
+            assert counts == tuple(int(np.prod(s)) for s in shapes.values())
+            assert network_memory_block(design).coef_shape == (counts[1] + counts[2],)
 
 
 class TestParameterCounts:
