@@ -51,10 +51,7 @@ def rho(x, a):
     n, p = x.shape
     if a.shape[0] != p:
         raise ShapeError(f"factor has {p} columns but operand mode-1 size is {a.shape[0]}")
-    rest = a.shape[1:]
-    out = x @ a.reshape(p, -1, order="F")
-    out = out.reshape((n,) + rest, order="F")
-    return np.moveaxis(out, 0, -1)
+    return (x @ a.reshape(p, -1, order="F")).T.reshape(a.shape[1:] + (n,), order="F")
 
 
 def rho_transposed(x, b):

@@ -185,6 +185,8 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             f"data shape {data.shape} does not match grid "
             f"({grid.n_x}, {grid.n_y}, {grid.n_frames})"
         )
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{data_path}: data contain non-finite values (NaN or inf)")
     # a support score needs the truth: check it before the fit, not after
     truth = None if truth_beta is None else read_dta1(truth_beta)
     if truth is not None and truth.shape != basis.coef_shapes["network"]:

@@ -15,13 +15,16 @@ normal vectors mixed by the noise covariance matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .arrays import rho_chain
 from .bases import memory_field, stimulus_frames
 from .errors import DivergenceError, InvalidCovarianceError, ShapeError
+
+# A state entry above this magnitude ends the simulation as diverged.
+BLOWUP_THRESHOLD = 1e12
 
 
 @dataclass
@@ -37,7 +40,6 @@ class SimConfig:
     seed: int = 0
     history: Optional[np.ndarray] = None
     initial_state: Optional[np.ndarray] = None
-    blowup_threshold: float = 1e12
 
     def resolved_history(self):
         g = self.grid
@@ -62,7 +64,7 @@ class SimConfig:
 
 @dataclass
 class NoiseModel:
-    """Stationary spatial noise: covariance function, grid matrix, mixer.
+    """Stationary spatial noise: grid covariance matrix and mixer.
 
     ``c_tilde`` has entry ``([m,n],[i,j]) = c(x_m - x_i, y_n - y_j) * cell_area^2``;
     ``factor`` is its eigendecomposition with negative eigenvalues clipped
@@ -70,7 +72,6 @@ class NoiseModel:
     one-step increment covariance is ``c_tilde.T @ c_tilde * dt``.
     """
 
-    covariance_fn: Callable
     c_tilde: np.ndarray
     factor: np.ndarray
 
@@ -99,7 +100,7 @@ def build_noise_covariance(covariance_fn, grid):
             f"covariance matrix strongly indefinite: min eigenvalue {evals.min():g}"
         )
     factor = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-    return NoiseModel(covariance_fn=covariance_fn, c_tilde=c_tilde, factor=factor)
+    return NoiseModel(c_tilde=c_tilde, factor=factor)
 
 
 def gaussian_covariance(length, amplitude=1.0):
@@ -173,7 +174,7 @@ def simulate_euler(config, coeffs, basis, noise=None):
         nxt = traj[:, f] + drift * grid.dt
         if eps is not None:
             nxt = nxt + (noise.factor @ eps[:, k]) * sqdt
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > config.blowup_threshold:
+        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > BLOWUP_THRESHOLD:
             raise DivergenceError(f"simulation diverged at step {k}", step=k)
         traj[:, f + 1] = nxt
 

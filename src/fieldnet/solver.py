@@ -118,8 +118,14 @@ def default_lambda_path(lam_max, n_lambdas=10, min_ratio=1e-3):
 # -- component fits -----------------------------------------------------------
 
 
-def _half_sq(resid, omega):
-    return 0.5 * float(np.vdot(resid, weight_frames(resid, omega)))
+def _weighted_residual(block, target, theta, lam, weights, omega):
+    """Precision-weighted residual ``Omega (target - X theta)`` of ``block``
+    at ``theta``, and the penalized objective there.  The loss gradient at
+    ``theta`` is ``-block.adjoint`` of the residual."""
+    resid = target - block.predict(theta)
+    weighted = weight_frames(resid, omega)
+    penalty = lam * float(np.sum(weights * np.abs(theta)))
+    return weighted, 0.5 * float(np.vdot(resid, weighted)) + penalty
 
 
 def power_lipschitz(block, omega=None, iterations=60, seed=0):
@@ -186,22 +192,20 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     ``target`` is the partial residual the block is fitted against.  The
     returned objective never exceeds the warm-start objective, and the
     returned KKT certificate is evaluated at the returned coefficients.
+
+    Each iterate carries its weighted residual.  The extrapolated point is
+    an affine combination of iterates, so its residual is the same
+    combination of theirs: an iteration makes one forward apply (at the
+    candidate), one Omega apply and one adjoint (the gradient).
     """
     opts = options or SolverOptions()
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
     x = (np.zeros(block.coef_shape) if warm is None
          else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
 
-    def objective(theta):
-        resid = target - block.predict(theta)
-        return _half_sq(resid, omega) + lam * float(np.sum(weights * np.abs(theta)))
-
-    def grad(theta):
-        return -block.adjoint(weight_frames(target - block.predict(theta), omega))
-
-    def certificate(theta):
+    def certificate(theta, resid):
         # with no penalty there is no KKT test: report the gradient size
-        g = grad(theta)
+        g = -block.adjoint(resid)
         if lam == 0:
             return float(np.abs(g).max()), True
         return kkt_residual(g, theta, lam, weights)
@@ -210,17 +214,17 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     if lip.max() <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
         coef = np.zeros(block.coef_shape) if lam > 0 else x
-        obj = objective(coef)
+        _, obj = _weighted_residual(block, target, coef, lam, weights, omega)
         return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True)
 
     # A stacked part with all-zero columns has constant zero and keeps step 0.
     step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
     threshold = step * lam * weights
-    f_best = objective(x)
+    r_x, f_best = _weighted_residual(block, target, x, lam, weights, omega)
     if not np.isfinite(f_best):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
     trace = [f_best]
-    y = x.copy()
+    y, r_y = x, r_x
     t_mom = 1.0
     n_iter = 0
     converged = False
@@ -228,21 +232,23 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
 
     for it in range(1, opts.max_inner + 1):
         n_iter = it
-        cand = soft_threshold(y - step * grad(y), threshold)
-        obj_cand = objective(cand)
+        cand = soft_threshold(y + step * block.adjoint(r_y), threshold)
+        r_cand, obj_cand = _weighted_residual(block, target, cand, lam, weights, omega)
         if not np.isfinite(obj_cand):
             raise DivergenceError(f"component fit diverged for block {block.name!r}")
         # Monotone acceleration: keep the incumbent when the accelerated
         # candidate overshoots, but still extrapolate through it.
         accepted = obj_cand <= f_best
         if accepted:
-            x_new, f_new = cand, obj_cand
+            x_new, r_new, f_new = cand, r_cand, obj_cand
         else:
-            x_new, f_new = x, f_best
+            x_new, r_new, f_new = x, r_x, f_best
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2)) / 2.0
-        y = x_new + (t_mom / t_new) * (cand - x_new) + ((t_mom - 1.0) / t_new) * (x_new - x)
+        a, b = t_mom / t_new, (t_mom - 1.0) / t_new
+        y = x_new + a * (cand - x_new) + b * (x_new - x)
+        r_y = r_new + a * (r_cand - r_new) + b * (r_new - r_x)
         rel = abs(f_best - f_new) / max(1.0, abs(f_best))
-        x, f_best, t_mom = x_new, f_new, t_new
+        x, r_x, f_best, t_mom = x_new, r_new, f_new, t_new
         trace.append(f_best)
         # At an optimum rounding can reject every candidate, so with a
         # penalty a rejected step also reaches the KKT test.  Without one
@@ -250,12 +256,12 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
         if (rel < opts.tol_inner and (accepted or lam > 0)
                 and it - last_kkt_check >= KKT_CHECK_EVERY):
             last_kkt_check = it
-            kkt = certificate(x)
+            kkt = certificate(x, r_x)
             if kkt[1]:
                 converged = True
                 break
     if not converged:
-        kkt = certificate(x)
+        kkt = certificate(x, r_x)
     return ComponentFit(x, f_best, np.asarray(trace), n_iter, converged, *kkt)
 
 
@@ -367,12 +373,8 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     lip_times = times.lipschitz()
     stimulus = stimulus_block(design)
 
-    def joint_objective(z, e):
-        alpha = np.einsum("k,ij->ijk", z, e)
-        resid = target - stimulus.predict(alpha)
-        return _half_sq(resid, omega) + lam * float(np.sum(weights * np.abs(alpha)))
-
-    obj = joint_objective(zeta, eta)
+    alpha = np.einsum("k,ij->ijk", zeta, eta)
+    resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights, omega)
     total_iter = 0
     converged = False
     collapsed = False
@@ -403,18 +405,20 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         if not zeta.any():
             collapsed = True
             break
-        new_obj = joint_objective(zeta, eta)
+        alpha = np.einsum("k,ij->ijk", zeta, eta)
+        resid, new_obj = _weighted_residual(stimulus, target, alpha, lam, weights, omega)
         converged = bool(abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj)))
         obj = new_obj
         if converged:
             break
     if collapsed:
         eta = np.zeros_like(eta)
-        obj = joint_objective(zeta, eta)
+        alpha = np.einsum("k,ij->ijk", zeta, eta)
+        resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights, omega)
         converged = True
-    alpha = np.einsum("k,ij->ijk", zeta, eta)
-    # stationarity of each factor with the other fixed, by the chain rule
-    grad = -stimulus.adjoint(weight_frames(target - stimulus.predict(alpha), omega))
+    # stationarity of each factor with the other fixed, by the chain rule,
+    # from the residual of the last evaluation: the returned factors
+    grad = -stimulus.adjoint(resid)
     kkt = max(kkt_residual(grad @ zeta, eta, lam, weights @ np.abs(zeta))[0],
               kkt_residual(np.tensordot(eta, grad, 2), zeta, lam,
                            np.tensordot(np.abs(eta), weights, 2))[0])
@@ -452,7 +456,6 @@ class LambdaFit:
 class FitResult:
     lambda_path: np.ndarray
     fits: list
-    omega: Optional[np.ndarray] = None
 
     def best_index(self):
         """Index of the smallest final objective along the path."""
@@ -464,7 +467,6 @@ class FitResult:
 @dataclass
 class MrceResult:
     first: FitResult
-    sigma_residual: np.ndarray
     precision: object
     second: FitResult
     lambda_index: int
@@ -494,17 +496,15 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
     alpha = (np.zeros(stimulus.coef_shape) if zeta is None or eta is None
              else np.einsum("k,ij->ijk", zeta, eta))
 
-    pred_s = stimulus.predict(alpha)
-    pred_nm = joint.predict(theta)
     w_a = penalty_weights["stimulus"]
     w_nm = joint.stack([np.broadcast_to(penalty_weights[b.name], b.coef_shape)
                         for b in joint.blocks])
 
-    def full_objective():
-        pen = lam * (float(np.sum(w_a * np.abs(alpha))) + float(np.sum(w_nm * np.abs(theta))))
-        return _half_sq(target - pred_s - pred_nm, design.omega) + pen
-
-    trace = [full_objective()]
+    # Each sub-solve returns its objective on the partial residual; adding
+    # the other block's penalty gives the full objective at that point.
+    _, obj = _weighted_residual(joint, target - stimulus.predict(alpha), theta, lam, w_nm,
+                                design.omega)
+    trace = [obj + lam * float(np.sum(w_a * np.abs(alpha)))]
     iterations = {"stimulus": 0, "network": 0, "memory": 0}
     converged_blocks = {"stimulus": True, "network": True, "memory": True}
     kkt = {"stimulus": 0.0, "network": 0.0, "memory": 0.0}
@@ -513,23 +513,22 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
     for sweeps in range(1, opts.max_sweeps + 1):
         obj_start = trace[-1]
 
-        rank1 = fit_reduced_rank_stimulus(design, target - pred_nm, lam, w_a, zeta, eta, opts)
+        rank1 = fit_reduced_rank_stimulus(design, target - joint.predict(theta), lam, w_a,
+                                          zeta, eta, opts)
         zeta, eta, alpha = rank1.zeta, rank1.eta, rank1.alpha
-        pred_s = stimulus.predict(alpha)
         iterations["stimulus"] += rank1.n_iter
         converged_blocks["stimulus"] = rank1.converged
         kkt["stimulus"] = rank1.kkt_residual
-        trace.append(full_objective())
+        trace.append(rank1.objective + lam * float(np.sum(w_nm * np.abs(theta))))
 
-        fit_nm = fit_component(joint, target - pred_s, lam, w_nm, theta, design.omega, opts,
-                               lipschitz)
+        fit_nm = fit_component(joint, target - stimulus.predict(alpha), lam, w_nm, theta,
+                               design.omega, opts, lipschitz)
         theta = fit_nm.coef
-        pred_nm = joint.predict(theta)
         for name in ("network", "memory"):  # one joint solve, reported for both
             iterations[name] += fit_nm.n_iter
             converged_blocks[name] = fit_nm.converged
             kkt[name] = fit_nm.kkt_residual
-        trace.append(full_objective())
+        trace.append(fit_nm.objective + lam * float(np.sum(w_a * np.abs(alpha))))
 
         if abs(obj_start - trace[-1]) <= opts.tol_outer * max(1.0, abs(obj_start)):
             converged_outer = True
@@ -562,8 +561,7 @@ def fit_block_relaxation(design, penalty, options=None):
         fits.append(fit_penalized(design, lam, weights, opts, warm=warm,
                                   lipschitz=lipschitz))
         warm = fits[-1].coeffs
-    return FitResult(lambda_path=penalty.lambda_path.copy(), fits=fits,
-                     omega=design.omega)
+    return FitResult(lambda_path=penalty.lambda_path.copy(), fits=fits)
 
 
 def residual_covariance(design, coeffs):
@@ -586,8 +584,7 @@ def mrce_loop(design, penalty, options=None, lambda_index=None):
     opts = options or SolverOptions()
     first = fit_block_relaxation(design, penalty, opts)
     idx = penalty.lambda_path.size // 2 if lambda_index is None else int(lambda_index)
-    sigma_r = residual_covariance(design, first.fits[idx].coeffs)
-    prec = graphical_lasso(sigma_r, penalty.nu)
+    prec = graphical_lasso(residual_covariance(design, first.fits[idx].coeffs), penalty.nu)
     design2 = design.with_omega(prec.omega)
 
     lam_max2 = lambda_max(design2, penalty.weights_for(design.basis))
@@ -595,8 +592,7 @@ def mrce_loop(design, penalty, options=None, lambda_index=None):
     path2 = default_lambda_path(lam_max2, penalty.lambda_path.size, ratio)
     penalty2 = replace(penalty, lambda_path=path2)
     second = fit_block_relaxation(design2, penalty2, opts)
-    return MrceResult(first=first, sigma_residual=sigma_r, precision=prec,
-                      second=second, lambda_index=idx)
+    return MrceResult(first=first, precision=prec, second=second, lambda_index=idx)
 
 
 def support_scores(estimated, truth):

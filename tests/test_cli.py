@@ -271,7 +271,17 @@ def assert_single_error_line(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def quickstart_frames(value):
+    """A DTA1 file of the quickstart data's shape, zero but for one entry."""
+    frames = np.zeros((6, 6, 84))
+    frames[1, 2, 3] = value
+    return b"DTA1 3 6 6 84\n" + frames.astype("<f8").tobytes(order="F")
+
+
 MALFORMED_DTA1 = {
+    # well-formed files whose values no fit can use
+    "nan-entry": quickstart_frames(np.nan),
+    "inf-entry": quickstart_frames(np.inf),
     "wrong-magic": b"NOPE\n",
     "non-ascii-header": b"\xff\xfe 3\n",
     "missing-order": b"DTA1\n",
@@ -348,6 +358,15 @@ class TestFitInputErrors:
                      "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert_single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_finite_data_is_a_numerical_failure(self, tmp_path, capsys):
+        bad = tmp_path / "huge.dta1"
+        bad.write_bytes(quickstart_frames(1e200))
+        code = main(["fit", "--config", str(QUICKSTART),
+                     "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("numerical failure: ")
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -24,13 +24,17 @@ from fieldnet import (
     uniform_bspline_spec,
     white_covariance,
 )
+from fieldnet import solver
 from fieldnet.arrays import vec
 from fieldnet.solver import (
     _KronBlock,
     fit_component,
     fit_penalized,
     kkt_residual,
+    network_block,
+    network_memory_block,
     standardized_weights,
+    weight_frames,
 )
 from oracles import explicit_design, theta_vec
 
@@ -386,6 +390,74 @@ class TestBlockRelaxation:
         warm_iters = sum(f.total_iterations for f in warm.fits)
         cold_iters = sum(f.total_iterations for f in cold)
         assert warm_iters <= cold_iters
+
+
+def random_precision(rng, d):
+    root = rng.standard_normal((d, d))
+    return root @ root.T / d + 0.5 * np.eye(d)
+
+
+class CountingBlock:
+    """A design block that counts its forward and adjoint applies."""
+
+    def __init__(self, block):
+        self.block = block
+        self.predicts = self.adjoints = 0
+
+    def __getattr__(self, name):
+        return getattr(self.block, name)
+
+    def predict(self, coef):
+        self.predicts += 1
+        return self.block.predict(coef)
+
+    def adjoint(self, fieldarr):
+        self.adjoints += 1
+        return self.block.adjoint(fieldarr)
+
+
+class TestResidualBookkeeping:
+    @pytest.mark.parametrize("case", ["network", "network-omega", "network+memory"])
+    def test_one_forward_one_omega_one_adjoint_per_iteration(self, rng, monkeypatch, case):
+        # the extrapolated point's residual is combined from cached ones, so
+        # N iterations apply the block N + 1 times each way (the extra pair
+        # is the warm start's residual and the returned point's certificate)
+        _, _, _, design = tiny_instance(rng)
+        omega = random_precision(rng, design.grid.n_pixels) if case == "network-omega" else None
+        block = CountingBlock(network_memory_block(design) if case == "network+memory"
+                              else network_block(design))
+        lam = 0.05 * lambda_max(design)
+        weighted = []
+
+        def counting_weight_frames(fieldarr, om):
+            weighted.append(om is omega)
+            return weight_frames(fieldarr, om)
+
+        monkeypatch.setattr(solver, "weight_frames", counting_weight_frames)
+        n = 30
+        fit = fit_component(block, design.target, lam, np.ones(block.coef_shape), omega=omega,
+                            options=SolverOptions(tol_inner=0.0, max_inner=n))
+        assert fit.n_iter == n and not fit.converged
+        assert (block.predicts, block.adjoints) == (n + 1, n + 1)
+        assert len(weighted) == n + 1 and all(weighted)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "omega"])
+    def test_trace_ends_at_full_objective_of_returned_coefficients(self, weighted):
+        for seed in range(3):
+            loc = np.random.default_rng(seed)
+            _, basis, _, design = tiny_instance(loc)
+            d = design.grid.n_pixels
+            omega = random_precision(loc, d) if weighted else np.eye(d)
+            if weighted:
+                design = design.with_omega(omega)
+            weights = standardized_weights(design)
+            lam = 0.1 * lambda_max(design, weights)
+            fit = fit_penalized(design, lam, weights)
+            flat = (design.target - linear_predictor(fit.coeffs, design)).reshape(d, -1, order="F")
+            penalty = sum(float(np.sum(weights[name] * np.abs(arr)))
+                          for name, arr in zip(basis.coef_shapes, fit.coeffs.arrays()))
+            want = 0.5 * float(np.sum(flat * (omega @ flat))) + lam * penalty
+            assert abs(fit.objective_trace[-1] - want) <= 1e-12 * abs(want), (seed, want)
 
 
 class TestPenaltySpec:
