@@ -163,6 +163,8 @@ def _write_fit_artifacts(out_dir, result, suffix=""):
     return outputs
 
 
+# an overflow or invalid operation is a numerical failure, not a warning
+@np.errstate(over="raise", invalid="raise")
 def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     grid = make_grid(cfg)
     basis = make_basis(cfg)
@@ -390,7 +392,8 @@ def main(argv=None):
     except (ConfigError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, InvalidCovarianceError, FieldnetError, np.linalg.LinAlgError) as exc:
+    except (DivergenceError, InvalidCovarianceError, FieldnetError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

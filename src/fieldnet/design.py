@@ -15,6 +15,12 @@ Each part is a :class:`_KronBlock`.  A :class:`_StackedBlock` puts blocks
 side by side: over all three it is the ``X`` of :func:`linear_predictor`
 and :func:`gradient`, over network and memory the solver's joint block.
 
+A block's ``gram(omega)`` is its normal operator ``X^T (I_M kron Omega)
+X`` in factored form, whose size depends on the basis dimensions only: a
+Kronecker product of small factor Grams per block (Currie, Durban & Eilers
+2006), plus a dense network-memory cross term for the joint block.  The
+solver iterates on it; building it costs one pass over the data.
+
 The response for modeled frame ``k`` is observation frame ``k + 1``.  The
 lagged frame ``k`` enters as a fixed offset, so the regression target is
 the frame-to-frame increment.
@@ -146,29 +152,56 @@ class _KronBlock:
         out = rho_transposed_chain(self.factors, arr)
         return out.reshape(self.coef_shape, order="F")
 
-    def lipschitz(self, omega=None):
-        """Largest eigenvalue of the normal operator ``X^T (I_M kron Omega) X``.
+    def spatial(self):
+        """The first two factors folded into ``S = F_y kron F_x``."""
+        if len(self.factors) == 1:
+            return self.factors[0]
+        return np.kron(self.factors[1], self.factors[0])
 
-        The operator is a Kronecker product of factor Grams, so its top
-        eigenvalue is a product of factor top eigenvalues.  Omega and the
-        multiplier couple the two spatial factors, so those are folded into
-        ``S = F_y kron F_x`` and enter as ``S^T (Omega o V V^T) S``, with
-        ``V`` the multiplier as a ``(D, M)`` matrix.
+    def gram(self, omega=None):
+        """The normal operator ``X^T (I_M kron Omega) X`` as a :class:`_Gram`.
+
+        Without Omega or a multiplier it is the Kronecker product of the
+        factors' own Grams.  Omega and the multiplier couple the two spatial
+        factors, so those are folded into ``S`` and enter as ``S^T (Omega o
+        V V^T) S``, with ``V`` the multiplier as a ``(D, M)`` matrix (a
+        multiplier repeats a spatial-only chain over the frames), followed
+        by the other factors' Grams.
         """
-        def top(gram):
-            return float(np.linalg.eigvalsh(gram)[-1])
-
         if omega is None and self.multiplier is None:
-            return float(np.prod([top(f.T @ f) for f in self.factors]))
-        spatial = self.factors[0]
-        if len(self.factors) > 1:
-            spatial = np.kron(self.factors[1], spatial)
+            return _Gram([f.T @ f for f in self.factors], self.coef_shape, self.kron_shape)
+        spatial = self.spatial()
         weight = np.eye(spatial.shape[0]) if omega is None else omega
         if self.multiplier is not None:
             v = self.multiplier.reshape(spatial.shape[0], -1, order="F")
             weight = weight * (v @ v.T)
-        rest = [top(f.T @ f) for f in self.factors[2:]]
-        return top(spatial.T @ weight @ spatial) * float(np.prod(rest))
+        factors = [spatial.T @ weight @ spatial] + [f.T @ f for f in self.factors[2:]]
+        kron_shape = (math.prod(self.kron_shape[:2]),) + self.kron_shape[2:]
+        return _Gram(factors, self.coef_shape, kron_shape)
+
+    def lipschitz(self, omega=None):
+        """Largest eigenvalue of the normal operator ``X^T (I_M kron Omega) X``."""
+        return self.gram(omega).lipschitz
+
+
+class _Gram:
+    """A block's normal operator as a Kronecker product of small symmetric
+    factors, applied by mode products: its size depends on the basis
+    dimensions only, not on the frame or pixel count.
+
+    ``lipschitz`` is its largest eigenvalue, the product of the factors'
+    top eigenvalues.
+    """
+
+    def __init__(self, factors, coef_shape, kron_shape):
+        self.factors = factors
+        self.coef_shape = coef_shape
+        self.kron_shape = kron_shape
+        self.lipschitz = float(np.prod([np.linalg.eigvalsh(f)[-1] for f in factors]))
+
+    def apply(self, coef):
+        arr = np.reshape(coef, self.kron_shape, order="F")
+        return rho_chain(self.factors, arr).reshape(self.coef_shape, order="F")
 
 
 def stimulus_block(design):
@@ -212,13 +245,64 @@ class _StackedBlock:
     def adjoint(self, fieldarr):
         return self.stack([b.adjoint(fieldarr) for b in self.blocks])
 
+    def gram(self, omega=None):
+        """The stacked normal operator as a :class:`_StackedGram`: each part's
+        own Gram on the diagonal and the dense cross terms off it."""
+        grams = [b.gram(omega) for b in self.blocks]
+        cross = {(i, j): _cross_gram(self.blocks[i], self.blocks[j], omega)
+                 for i in range(len(self.blocks)) for j in range(i + 1, len(self.blocks))}
+        return _StackedGram(self, grams, cross)
+
     def lipschitz(self, omega=None):
-        """Per-coordinate constants: ``n L_b`` on the coordinates of part
-        ``b``, with ``L_b`` its exact constant and ``n`` the part count.  They
-        majorize the stacked normal operator, because ``X^T X <= n diag(X_1^T
-        X_1, ..., X_n^T X_n)`` for ``X = [X_1 ... X_n]``."""
-        n = len(self.blocks)
-        return np.repeat([n * b.lipschitz(omega) for b in self.blocks], np.diff(self._bounds))
+        return self.gram(omega).lipschitz
+
+
+class _StackedGram:
+    """Normal operator of ``[X_1 X_2 ...]``: block ``(i, j)`` is ``X_i^T
+    (I_M kron Omega) X_j``.
+
+    ``lipschitz`` holds per-coordinate constants: ``n L_b`` on the
+    coordinates of part ``b``, with ``L_b`` its exact constant and ``n`` the
+    part count.  They majorize the stacked normal operator, because ``X^T X
+    <= n diag(X_1^T X_1, ..., X_n^T X_n)`` for ``X = [X_1 ... X_n]``.
+    """
+
+    def __init__(self, block, grams, cross):
+        self.block = block
+        self.grams = grams
+        self.cross = cross
+        n = len(grams)
+        self.lipschitz = np.repeat([n * g.lipschitz for g in grams], np.diff(block._bounds))
+
+    def apply(self, coef):
+        parts = [np.ravel(p, order="F") for p in self.block.split(coef)]
+        out = [np.ravel(g.apply(p), order="F") for g, p in zip(self.grams, parts)]
+        for (i, j), c in self.cross.items():
+            out[i] += c @ parts[j]
+            out[j] += c.T @ parts[i]
+        return np.concatenate(out)
+
+
+def _cross_gram(left, right, omega):
+    """Dense ``X_left^T (I_M kron Omega) X_right`` for a left block without
+    multiplier (two spatial factors, then a time factor ``T``) and a right
+    block whose multiplier ``V`` repeats a spatial chain over the frames:
+    the network and memory blocks.
+
+    Column ``b`` of ``X_right`` is ``V`` scaled row-wise by the spatial
+    column ``s_b``, so column ``b`` of the cross term is ``vec((Omega
+    S_left o s_b)^T (V T))``: one contraction of the data with ``T``, then
+    one over the pixels per column.
+    """
+    s_left = left.spatial()
+    if omega is not None:
+        s_left = omega @ s_left
+    s_right = right.spatial()
+    u = right.multiplier.reshape(s_right.shape[0], -1, order="F") @ left.factors[2]
+    cross = np.empty((s_left.shape[1] * u.shape[1], s_right.shape[1]))
+    for b, column in enumerate(s_right.T):
+        cross[:, b] = ((s_left * column[:, None]).T @ u).ravel(order="F")
+    return cross
 
 
 def _design_blocks(design):

@@ -13,7 +13,10 @@ their stacked design.  Each lasso runs a monotone accelerated proximal
 gradient method with the step ``1 / L`` (``L`` a block's exact Lipschitz
 constant; for the stacked pair, twice each part's own constant on that
 part's coordinates), so the full penalized objective is non-increasing
-across every sub-solve.
+across every sub-solve.  The iterations run on the block's small Gram
+operator ``X^T Omega X`` (see :func:`fit_component`); the data are touched
+only when a sub-solve starts and returns, where the objective is evaluated
+exactly in residual form.
 The outer loop couples this with precision estimation (graphical lasso on
 the residual covariance) and a refit on precision-weighted data.
 """
@@ -130,8 +133,8 @@ def _weighted_residual(block, target, theta, lam, weights, omega):
 
 def power_lipschitz(block, omega=None, iterations=60, seed=0):
     """Power-iteration estimate of the block's largest normal-operator
-    eigenvalue, from below.  A reference for :meth:`_KronBlock.lipschitz`,
-    which the solver uses."""
+    eigenvalue, from below.  A reference for the exact constant the
+    solver reads from ``block.gram(omega).lipschitz``."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(block.coef_shape)
     norm = np.linalg.norm(v)
@@ -183,34 +186,48 @@ class ComponentFit:
 
 
 def fit_component(block, target, lam, weights, warm=None, omega=None, options=None,
-                  lipschitz=None):
+                  gram=None):
     """Weighted-lasso fit of one block by monotone accelerated proximal
-    gradient with the fixed step ``1 / L``, ``L`` the block's exact
-    Lipschitz constant or, for a stacked block, its per-coordinate
-    constants (``block.lipschitz(omega)`` unless given).
+    gradient with the fixed step ``1 / L``, iterated in Gram form.
 
     ``target`` is the partial residual the block is fitted against.  The
-    returned objective never exceeds the warm-start objective, and the
-    returned KKT certificate is evaluated at the returned coefficients.
+    loss is ``1/2 theta^T G theta - c^T theta + const``, with ``c = X^T
+    Omega target`` and ``G = X^T (I_M kron Omega) X`` given as ``gram``
+    (``block.gram(omega)`` unless given).  ``gram`` also carries ``L``: the
+    exact constant, or per-coordinate constants for a stacked block.
 
-    Each iterate carries its weighted residual.  The extrapolated point is
-    an affine combination of iterates, so its residual is the same
-    combination of theirs: an iteration makes one forward apply (at the
-    candidate), one Omega apply and one adjoint (the gradient).
+    Set-up makes one forward apply, one Omega apply and one adjoint (the
+    exact objective and gradient at the warm start) and one Gram apply
+    (``c``).  An iteration is one Gram apply: the extrapolated point's
+    gradient ``G y - c`` is the same affine combination of the iterates'
+    gradients as the point is of the iterates.  A candidate is accepted on
+    the objective difference ``1/2 d^T (g' + g) + delta_penalty`` (``d`` the
+    step, ``g`` and ``g'`` the gradients at its ends), which does not
+    cancel near the optimum; the trace adds these to the warm-start
+    objective.  The KKT certificate is read from the gradient.
+
+    On return the objective is evaluated in residual form (one forward
+    apply, one Omega apply); if it exceeds the warm-start objective, the
+    warm start is returned.  So the returned objective never exceeds the
+    warm-start objective, and the certificate is evaluated at the returned
+    coefficients.
     """
     opts = options or SolverOptions()
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
     x = (np.zeros(block.coef_shape) if warm is None
          else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
+    gram = block.gram(omega) if gram is None else gram
 
-    def certificate(theta, resid):
+    def penalty(theta):
+        return lam * float(np.sum(weights * np.abs(theta)))
+
+    def certificate(theta, grad):
         # with no penalty there is no KKT test: report the gradient size
-        g = -block.adjoint(resid)
         if lam == 0:
-            return float(np.abs(g).max()), True
-        return kkt_residual(g, theta, lam, weights)
+            return float(np.abs(grad).max()), True
+        return kkt_residual(grad, theta, lam, weights)
 
-    lip = np.asarray(block.lipschitz(omega) if lipschitz is None else lipschitz)
+    lip = np.asarray(gram.lipschitz)
     if lip.max() <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
         coef = np.zeros(block.coef_shape) if lam > 0 else x
@@ -220,11 +237,15 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     # A stacked part with all-zero columns has constant zero and keeps step 0.
     step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
     threshold = step * lam * weights
-    r_x, f_best = _weighted_residual(block, target, x, lam, weights, omega)
-    if not np.isfinite(f_best):
+    r_start, f_start = _weighted_residual(block, target, x, lam, weights, omega)
+    if not np.isfinite(f_start):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
+    g_x = -block.adjoint(r_start)
+    c = gram.apply(x) - g_x
+    x_start, g_start = x, g_x
+    f_best, pen_x = f_start, penalty(x)
     trace = [f_best]
-    y, r_y = x, r_x
+    y, g_y = x, g_x
     t_mom = 1.0
     n_iter = 0
     converged = False
@@ -232,23 +253,25 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
 
     for it in range(1, opts.max_inner + 1):
         n_iter = it
-        cand = soft_threshold(y + step * block.adjoint(r_y), threshold)
-        r_cand, obj_cand = _weighted_residual(block, target, cand, lam, weights, omega)
-        if not np.isfinite(obj_cand):
+        cand = soft_threshold(y - step * g_y, threshold)
+        g_cand = gram.apply(cand) - c
+        pen_cand = penalty(cand)
+        delta = 0.5 * float(np.vdot(cand - x, g_cand + g_x)) + pen_cand - pen_x
+        if not np.isfinite(delta):
             raise DivergenceError(f"component fit diverged for block {block.name!r}")
         # Monotone acceleration: keep the incumbent when the accelerated
         # candidate overshoots, but still extrapolate through it.
-        accepted = obj_cand <= f_best
+        accepted = delta <= 0
         if accepted:
-            x_new, r_new, f_new = cand, r_cand, obj_cand
+            x_new, g_new, pen_new, f_new = cand, g_cand, pen_cand, f_best + delta
         else:
-            x_new, r_new, f_new = x, r_x, f_best
+            x_new, g_new, pen_new, f_new = x, g_x, pen_x, f_best
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2)) / 2.0
         a, b = t_mom / t_new, (t_mom - 1.0) / t_new
         y = x_new + a * (cand - x_new) + b * (x_new - x)
-        r_y = r_new + a * (r_cand - r_new) + b * (r_new - r_x)
+        g_y = g_new + a * (g_cand - g_new) + b * (g_new - g_x)
         rel = abs(f_best - f_new) / max(1.0, abs(f_best))
-        x, r_x, f_best, t_mom = x_new, r_new, f_new, t_new
+        x, g_x, pen_x, f_best, t_mom = x_new, g_new, pen_new, f_new, t_new
         trace.append(f_best)
         # At an optimum rounding can reject every candidate, so with a
         # penalty a rejected step also reaches the KKT test.  Without one
@@ -256,13 +279,17 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
         if (rel < opts.tol_inner and (accepted or lam > 0)
                 and it - last_kkt_check >= KKT_CHECK_EVERY):
             last_kkt_check = it
-            kkt = certificate(x, r_x)
+            kkt = certificate(x, g_x)
             if kkt[1]:
                 converged = True
                 break
+    _, objective = _weighted_residual(block, target, x, lam, weights, omega)
+    if objective > f_start:
+        # rounding in the Gram form lost the descent: keep the warm start
+        x, g_x, objective, converged = x_start, g_start, f_start, False
     if not converged:
-        kkt = certificate(x, r_x)
-    return ComponentFit(x, f_best, np.asarray(trace), n_iter, converged, *kkt)
+        kkt = certificate(x, g_x)
+    return ComponentFit(x, objective, np.asarray(trace), n_iter, converged, *kkt)
 
 
 def standardized_weights(design):
@@ -369,8 +396,8 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
 
     space = _KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], shape[:-1])
     times = _KronBlock("stimulus-zeta", [basis.phi_t], shape[-1:])
-    lip_space = space.lipschitz(omega)
-    lip_times = times.lipschitz()
+    gram_space = space.gram(omega)
+    gram_times = times.gram()
     stimulus = stimulus_block(design)
 
     alpha = np.einsum("k,ij->ijk", zeta, eta)
@@ -387,7 +414,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             break
         w_eta = np.einsum("ijk,k->ij", weights, np.abs(zeta))
         fit_e = fit_component(space, (target @ profile) / scale, lam / scale, w_eta,
-                              warm=eta, omega=omega, options=opts, lipschitz=lip_space)
+                              warm=eta, omega=omega, options=opts, gram=gram_space)
         eta = fit_e.coef
         total_iter += fit_e.n_iter
         field = space.predict(eta)
@@ -399,7 +426,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         w_zeta = np.einsum("ijk,ij->k", weights, np.abs(eta))
         contracted = np.einsum("ij,ijk->k", weighted_field, target) / scale
         fit_z = fit_component(times, contracted, lam / scale, w_zeta, warm=zeta,
-                              options=opts, lipschitz=lip_times)
+                              options=opts, gram=gram_times)
         zeta = fit_z.coef
         total_iter += fit_z.n_iter
         if not zeta.any():
@@ -473,22 +500,22 @@ class MrceResult:
 
 
 def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
-                  lipschitz=None):
+                  gram=None):
     """Block-relaxed fit of all three components at one penalty level.
 
     Each sweep fits the rank-one stimulus, then the network and memory
     blocks jointly.  ``lam`` may be zero (pure least squares).  ``warm`` is
     an optional ``DriftCoefficients`` whose rank-one factors seed the
-    stimulus; ``lipschitz`` holds the joint block's per-coordinate step
-    constants.
+    stimulus; ``gram`` is the joint block's normal operator (built here
+    unless given).
     """
     opts = options or SolverOptions()
     if penalty_weights is None:
         penalty_weights = PenaltySpec(np.array([1.0])).weights_for(design.basis)
     stimulus = stimulus_block(design)
     joint = network_memory_block(design)
-    if lipschitz is None:
-        lipschitz = joint.lipschitz(design.omega)
+    if gram is None:
+        gram = joint.gram(design.omega)
     target = design.target
 
     zeta, eta = (None, None) if warm is None else (warm.zeta, warm.eta)
@@ -522,7 +549,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
         trace.append(rank1.objective + lam * float(np.sum(w_nm * np.abs(theta))))
 
         fit_nm = fit_component(joint, target - stimulus.predict(alpha), lam, w_nm, theta,
-                               design.omega, opts, lipschitz)
+                               design.omega, opts, gram)
         theta = fit_nm.coef
         for name in ("network", "memory"):  # one joint solve, reported for both
             iterations[name] += fit_nm.n_iter
@@ -554,12 +581,11 @@ def fit_block_relaxation(design, penalty, options=None):
     previous level's solution."""
     opts = options or SolverOptions()
     weights = penalty.weights_for(design.basis)
-    lipschitz = network_memory_block(design).lipschitz(design.omega)
+    gram = network_memory_block(design).gram(design.omega)
     fits = []
     warm = None
     for lam in penalty.lambda_path:
-        fits.append(fit_penalized(design, lam, weights, opts, warm=warm,
-                                  lipschitz=lipschitz))
+        fits.append(fit_penalized(design, lam, weights, opts, warm=warm, gram=gram))
         warm = fits[-1].coeffs
     return FitResult(lambda_path=penalty.lambda_path.copy(), fits=fits)
 

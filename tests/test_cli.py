@@ -266,9 +266,9 @@ def mrce_config(tmp_path, lambda_index):
     return path
 
 
-def assert_single_error_line(capsys):
+def assert_single_error_line(capsys, prefix="error: "):
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 def quickstart_frames(value):
@@ -366,7 +366,7 @@ class TestFitInputErrors:
         code = main(["fit", "--config", str(QUICKSTART),
                      "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("numerical failure: ")
+        assert_single_error_line(capsys, prefix="numerical failure: ")
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

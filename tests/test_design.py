@@ -236,6 +236,60 @@ class TestStackedBlock:
                 assert np.array_equal(got, blocks[name].adjoint(pred))
 
 
+class TestGram:
+    @staticmethod
+    def cases(design):
+        """(block, explicit design columns, rows per frame) for each block
+        the solver iterates on."""
+        basis, d = design.basis, design.grid.n_pixels
+        x, slices = explicit_design(design)
+        blocks = _design_blocks(design)
+        net, mem = x[:, slices["network"]], x[:, slices["memory"]]
+        return [
+            (_KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], (basis.p_x, basis.p_y)),
+             kron_matrix([basis.phi_x, basis.phi_y]), d),
+            (_KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,)), basis.phi_t,
+             design.grid.n_steps),
+            (blocks["network"], net, d),
+            (blocks["memory"], mem, d),
+            (network_memory_block(design), np.hstack([net, mem]), d),
+        ]
+
+    def test_apply_matches_matrix_free_and_explicit_normal_operator(self, rng):
+        for _ in range(5):
+            _, _, _, design = tiny_instance(rng)
+            for block, dense, frame in self.cases(design):
+                root = rng.standard_normal((frame, frame))
+                for omega in (None, root @ root.T / frame + 0.5 * np.eye(frame)):
+                    weighted = (dense if omega is None
+                                else np.kron(np.eye(dense.shape[0] // frame), omega) @ dense)
+                    v = rng.standard_normal(block.coef_shape)
+                    want = dense.T @ (weighted @ vec(v))
+                    got = block.gram(omega).apply(v)
+                    assert got.shape == block.coef_shape
+                    free = block.adjoint(weight_frames(block.predict(v), omega))
+                    tol = 1e-12 * np.abs(want).max()
+                    assert np.abs(vec(got) - want).max() <= tol, block.name
+                    assert np.abs(vec(got) - vec(free)).max() <= tol, block.name
+
+    def test_cross_term_matches_column_by_column_construction(self, rng):
+        for _ in range(5):
+            _, _, _, design = tiny_instance(rng)
+            d = design.grid.n_pixels
+            blocks = _design_blocks(design)
+            net, mem = blocks["network"], blocks["memory"]
+            units = np.eye(int(np.prod(mem.coef_shape)))
+            root = rng.standard_normal((d, d))
+            for omega in (None, root @ root.T / d + 0.5 * np.eye(d)):
+                got = network_memory_block(design).gram(omega).cross[(0, 1)]
+                want = np.column_stack([
+                    vec(net.adjoint(weight_frames(mem.predict(e.reshape(mem.coef_shape,
+                                                                         order="F")), omega)))
+                    for e in units])
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestCoefShapes:
     def test_every_layout_follows_the_basis_table(self, rng):
         for _ in range(5):

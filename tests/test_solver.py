@@ -416,16 +416,28 @@ class CountingBlock:
         return self.block.adjoint(fieldarr)
 
 
+class CountingGram:
+    """A Gram operator that counts its applies."""
+
+    def __init__(self, gram):
+        self.gram = gram
+        self.applies = 0
+
+    def __getattr__(self, name):
+        return getattr(self.gram, name)
+
+    def apply(self, coef):
+        self.applies += 1
+        return self.gram.apply(coef)
+
+
 class TestResidualBookkeeping:
     @pytest.mark.parametrize("case", ["network", "network-omega", "network+memory"])
-    def test_one_forward_one_omega_one_adjoint_per_iteration(self, rng, monkeypatch, case):
-        # the extrapolated point's residual is combined from cached ones, so
-        # N iterations apply the block N + 1 times each way (the extra pair
-        # is the warm start's residual and the returned point's certificate)
+    def test_gram_apply_per_iteration(self, rng, monkeypatch, case):
+        # an iteration is one Gram apply; the data are touched only at
+        # set-up and at return, the same number of times for any budget
         _, _, _, design = tiny_instance(rng)
         omega = random_precision(rng, design.grid.n_pixels) if case == "network-omega" else None
-        block = CountingBlock(network_memory_block(design) if case == "network+memory"
-                              else network_block(design))
         lam = 0.05 * lambda_max(design)
         weighted = []
 
@@ -434,12 +446,45 @@ class TestResidualBookkeeping:
             return weight_frames(fieldarr, om)
 
         monkeypatch.setattr(solver, "weight_frames", counting_weight_frames)
-        n = 30
-        fit = fit_component(block, design.target, lam, np.ones(block.coef_shape), omega=omega,
-                            options=SolverOptions(tol_inner=0.0, max_inner=n))
-        assert fit.n_iter == n and not fit.converged
-        assert (block.predicts, block.adjoints) == (n + 1, n + 1)
-        assert len(weighted) == n + 1 and all(weighted)
+        touches = {}
+        for n in (10, 30):
+            block = CountingBlock(network_memory_block(design) if case == "network+memory"
+                                  else network_block(design))
+            gram = CountingGram(block.gram(omega))
+            weighted.clear()
+            fit = fit_component(block, design.target, lam, np.ones(block.coef_shape),
+                                omega=omega, options=SolverOptions(tol_inner=0.0, max_inner=n),
+                                gram=gram)
+            assert fit.n_iter == n and not fit.converged
+            assert gram.applies == n + 1
+            assert all(weighted)
+            touches[n] = (block.predicts, block.adjoints, len(weighted))
+        assert touches[10] == touches[30], touches
+
+    def test_lambda_zero_cancellation(self):
+        # a large fitted part and a tiny residual: the objective is a small
+        # difference of large quadratic terms, so candidates must be
+        # compared by their objective difference
+        loc = np.random.default_rng(11)
+        a = loc.standard_normal((400, 12))
+        theta = loc.standard_normal(12)
+        fitted = a @ theta
+        fitted *= 1e6 / np.linalg.norm(fitted)
+        q, _ = np.linalg.qr(a)
+        noise = loc.standard_normal(400)
+        noise -= q @ (q.T @ noise)
+        target = fitted + 1e-6 * noise / np.linalg.norm(noise)
+        block = _KronBlock("toy", [a], (12,))
+        warm = np.linalg.lstsq(a, fitted, rcond=None)[0] * (1 + 1e-9)
+        fit = fit_component(block, target, 0.0, np.ones(12), warm=warm,
+                            options=SolverOptions(tol_inner=0.0, max_inner=200))
+        assert fit.n_iter == 200
+        assert monotone(fit.trace)
+        assert fit.objective <= fit.trace[0]
+        # the descent reaches the optimum, half the squared residual, and the
+        # trace of objective differences tracks the residual-form objective
+        assert fit.objective <= 0.5e-12 * (1 + 1e-4), fit.objective
+        assert abs(fit.trace[-1] - fit.objective) <= 1e-6 * fit.trace[0], fit.trace[-1]
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "omega"])
     def test_trace_ends_at_full_objective_of_returned_coefficients(self, weighted):
