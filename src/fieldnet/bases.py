@@ -374,6 +374,11 @@ class DriftCoefficients:
     (temporal factor, length ``p_t``) and ``eta`` (spatial factor,
     ``p_x x p_y``) are stored and ``alpha[i, j, k] == zeta[k] * eta[i, j]``
     exactly.
+
+    Units: the design has no time step and no cell area, so the drift
+    ``(alpha, beta, gamma)`` that ``simulate_euler`` integrates is fitted as
+    ``(alpha * dt * cell_area, beta * dt, gamma * dt * cell_area)``; the
+    network's source integrals already carry the cell area.
     """
 
     alpha: np.ndarray

@@ -14,12 +14,16 @@ evaluated through mode transforms on small marginal factors:
 Each part is a :class:`_KronBlock`.  A :class:`_StackedBlock` puts blocks
 side by side: over all three it is the ``X`` of :func:`linear_predictor`
 and :func:`gradient`, over network and memory the solver's joint block.
+An :class:`ImplicitDesign` builds its blocks once and keeps them.
 
-A block's ``gram(omega)`` is its normal operator ``X^T (I_M kron Omega)
-X`` in factored form, whose size depends on the basis dimensions only: a
-Kronecker product of small factor Grams per block (Currie, Durban & Eilers
-2006), plus a dense network-memory cross term for the joint block.  The
-solver iterates on it; building it costs one pass over the data.
+The design owns the precision weighting: each block carries the design's
+``omega`` and is the only code that applies it, so ``X^T Omega r`` has one
+implementation.  A block's ``gram()`` is its normal operator ``X^T (I_M
+kron Omega) X`` in factored form, built on first use and kept, whose size
+depends on the basis dimensions only: a Kronecker product of small factor
+Grams per block (Currie, Durban & Eilers 2006), plus a dense
+network-memory cross term for the joint block.  The solver iterates on
+it; building it costs one pass over the data.
 
 The response for modeled frame ``k`` is observation frame ``k + 1``.  The
 lagged frame ``k`` enters as a fixed offset, so the regression target is
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -73,7 +78,7 @@ class ImplicitDesign:
     ``response`` holds frames ``1..M``; ``v_lag1`` the frames ``0..M-1``,
     which enter as a fixed additive term and feed the memory block.
     ``omega`` optionally weights frames by a precision matrix during
-    fitting.
+    fitting; it enters only through the design's blocks.
     """
 
     basis: object
@@ -91,7 +96,31 @@ class ImplicitDesign:
         """Response minus the lagged frames: the one-step increments."""
         return self.response - self.v_lag1
 
+    @cached_property
+    def blocks(self):
+        """The design's blocks by name, built once: the parts of ``X``, all
+        of ``X`` (``design``), the solver's joint ``network+memory`` block,
+        and the rank-one stimulus's factor blocks.  All carry the design's
+        ``omega`` but ``stimulus-zeta``, which acts on time profiles."""
+        b, omega = self.basis, self.omega
+        shapes = b.coef_shapes
+        stimulus = _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], shapes["stimulus"],
+                              omega=omega)
+        network = _KronBlock("network", [b.int_x, b.int_y, self.phi_xyt], shapes["network"],
+                             omega=omega)
+        memory = _KronBlock("memory", [b.phi_x, b.phi_y], shapes["memory"],
+                            multiplier=self.v_lag1, omega=omega)
+        blocks = (
+            stimulus, network, memory,
+            _StackedBlock("design", [stimulus, network, memory]),
+            _StackedBlock("network+memory", [network, memory]),
+            _KronBlock("stimulus-eta", [b.phi_x, b.phi_y], shapes["stimulus"][:-1], omega=omega),
+            _KronBlock("stimulus-zeta", [b.phi_t], shapes["stimulus"][-1:]),
+        )
+        return {block.name: block for block in blocks}
+
     def with_omega(self, omega):
+        """The same data weighted by ``omega``, with blocks of its own."""
         return replace(self, omega=omega)
 
 
@@ -117,7 +146,33 @@ def build_design(data, basis, response="levels"):
     )
 
 
-class _KronBlock:
+class _Block:
+    """What every design block shares: the design's precision ``omega``
+    (``None`` when unweighted), the one place where it meets the data, and
+    the normal operator, built on the first :meth:`gram` call and kept."""
+
+    _gram = None
+
+    def weigh(self, fieldarr):
+        """``(I_M kron Omega) r``: every frame of ``r`` times ``Omega``."""
+        if self.omega is None:
+            return fieldarr
+        flat = fieldarr.reshape(self.omega.shape[0], -1, order="F")
+        return (self.omega @ flat).reshape(fieldarr.shape, order="F")
+
+    def weighted_adjoint(self, fieldarr):
+        """``X^T (I_M kron Omega) r``; the loss gradient at residual ``r``
+        is its negative."""
+        return self.adjoint(self.weigh(fieldarr))
+
+    def gram(self):
+        """The normal operator ``X^T (I_M kron Omega) X`` in factored form."""
+        if self._gram is None:
+            self._gram = self._build_gram()
+        return self._gram
+
+
+class _KronBlock(_Block):
     """One design block: a chain of mode factors, optionally followed by a
     Hadamard multiplier, acting on a coefficient array.
 
@@ -127,7 +182,7 @@ class _KronBlock:
     over them.
     """
 
-    def __init__(self, name, factors, coef_shape, multiplier=None):
+    def __init__(self, name, factors, coef_shape, multiplier=None, omega=None):
         self.name = name
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         self.coef_shape = tuple(coef_shape)
@@ -135,6 +190,7 @@ class _KronBlock:
         self.kron_shape = self.coef_shape[:last] + (math.prod(self.coef_shape[last:]),)
         self.multiplier = multiplier
         self._repeat = 0 if multiplier is None else multiplier.ndim - len(self.factors)
+        self.omega = omega
 
     def predict(self, coef):
         arr = np.asarray(coef, dtype=np.float64).reshape(self.kron_shape, order="F")
@@ -158,30 +214,24 @@ class _KronBlock:
             return self.factors[0]
         return np.kron(self.factors[1], self.factors[0])
 
-    def gram(self, omega=None):
-        """The normal operator ``X^T (I_M kron Omega) X`` as a :class:`_Gram`.
-
-        Without Omega or a multiplier it is the Kronecker product of the
-        factors' own Grams.  Omega and the multiplier couple the two spatial
+    def _build_gram(self):
+        """Without Omega or a multiplier the Gram is the Kronecker product
+        of the factors' own Grams.  Omega and the multiplier couple the two spatial
         factors, so those are folded into ``S`` and enter as ``S^T (Omega o
         V V^T) S``, with ``V`` the multiplier as a ``(D, M)`` matrix (a
         multiplier repeats a spatial-only chain over the frames), followed
         by the other factors' Grams.
         """
-        if omega is None and self.multiplier is None:
+        if self.omega is None and self.multiplier is None:
             return _Gram([f.T @ f for f in self.factors], self.coef_shape, self.kron_shape)
         spatial = self.spatial()
-        weight = np.eye(spatial.shape[0]) if omega is None else omega
+        weight = np.eye(spatial.shape[0]) if self.omega is None else self.omega
         if self.multiplier is not None:
             v = self.multiplier.reshape(spatial.shape[0], -1, order="F")
             weight = weight * (v @ v.T)
         factors = [spatial.T @ weight @ spatial] + [f.T @ f for f in self.factors[2:]]
         kron_shape = (math.prod(self.kron_shape[:2]),) + self.kron_shape[2:]
         return _Gram(factors, self.coef_shape, kron_shape)
-
-    def lipschitz(self, omega=None):
-        """Largest eigenvalue of the normal operator ``X^T (I_M kron Omega) X``."""
-        return self.gram(omega).lipschitz
 
 
 class _Gram:
@@ -190,7 +240,8 @@ class _Gram:
     dimensions only, not on the frame or pixel count.
 
     ``lipschitz`` is its largest eigenvalue, the product of the factors'
-    top eigenvalues.
+    top eigenvalues; ``diagonal`` (coefficient-shaped) the product of the
+    factors' diagonals.
     """
 
     def __init__(self, factors, coef_shape, kron_shape):
@@ -199,28 +250,17 @@ class _Gram:
         self.kron_shape = kron_shape
         self.lipschitz = float(np.prod([np.linalg.eigvalsh(f)[-1] for f in factors]))
 
+    @property
+    def diagonal(self):
+        diag = reduce(np.multiply.outer, [np.diag(f) for f in self.factors])
+        return diag.reshape(self.coef_shape, order="F")
+
     def apply(self, coef):
         arr = np.reshape(coef, self.kron_shape, order="F")
         return rho_chain(self.factors, arr).reshape(self.coef_shape, order="F")
 
 
-def stimulus_block(design):
-    b = design.basis
-    return _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], b.coef_shapes["stimulus"])
-
-
-def network_block(design):
-    b = design.basis
-    return _KronBlock("network", [b.int_x, b.int_y, design.phi_xyt], b.coef_shapes["network"])
-
-
-def memory_block(design):
-    b = design.basis
-    return _KronBlock("memory", [b.phi_x, b.phi_y], b.coef_shapes["memory"],
-                      multiplier=design.v_lag1)
-
-
-class _StackedBlock:
+class _StackedBlock(_Block):
     """Blocks side by side, ``[X_1 X_2 ...]``, acting on one flat vector that
     concatenates the parts' column-major coefficients in block order."""
 
@@ -229,6 +269,7 @@ class _StackedBlock:
         self.blocks = list(blocks)
         self._bounds = np.cumsum([0] + [int(np.prod(b.coef_shape)) for b in self.blocks])
         self.coef_shape = (int(self._bounds[-1]),)
+        self.omega = self.blocks[0].omega
 
     def split(self, coef):
         """Views of the flat vector in the parts' coefficient shapes."""
@@ -245,45 +286,43 @@ class _StackedBlock:
     def adjoint(self, fieldarr):
         return self.stack([b.adjoint(fieldarr) for b in self.blocks])
 
-    def gram(self, omega=None):
-        """The stacked normal operator as a :class:`_StackedGram`: each part's
-        own Gram on the diagonal and the dense cross terms off it."""
-        grams = [b.gram(omega) for b in self.blocks]
-        cross = {(i, j): _cross_gram(self.blocks[i], self.blocks[j], omega)
-                 for i in range(len(self.blocks)) for j in range(i + 1, len(self.blocks))}
-        return _StackedGram(self, grams, cross)
-
-    def lipschitz(self, omega=None):
-        return self.gram(omega).lipschitz
+    def _build_gram(self):
+        """A :class:`_StackedGram` from the parts' own Grams and their cross
+        term; defined for the network+memory pair, which the solver
+        fits."""
+        network, memory = self.blocks
+        return _StackedGram([network.gram(), memory.gram()], _cross_gram(network, memory))
 
 
 class _StackedGram:
-    """Normal operator of ``[X_1 X_2 ...]``: block ``(i, j)`` is ``X_i^T
-    (I_M kron Omega) X_j``.
+    """Normal operator of ``[X_1 X_2]``: the parts' Grams on the diagonal
+    and the dense cross term ``C = X_1^T (I_M kron Omega) X_2`` off it.
 
-    ``lipschitz`` holds per-coordinate constants: ``n L_b`` on the
-    coordinates of part ``b``, with ``L_b`` its exact constant and ``n`` the
-    part count.  They majorize the stacked normal operator, because ``X^T X
-    <= n diag(X_1^T X_1, ..., X_n^T X_n)`` for ``X = [X_1 ... X_n]``.
+    ``lipschitz`` holds per-coordinate constants: ``2 L_b`` on the
+    coordinates of part ``b``, with ``L_b`` its exact constant.  They
+    majorize the stacked normal operator, because ``X^T X <= 2 diag(X_1^T
+    X_1, X_2^T X_2)`` for ``X = [X_1 X_2]``.  ``diagonal`` is the parts'
+    diagonals, stacked.
     """
 
-    def __init__(self, block, grams, cross):
-        self.block = block
+    def __init__(self, grams, cross):
         self.grams = grams
         self.cross = cross
-        n = len(grams)
-        self.lipschitz = np.repeat([n * g.lipschitz for g in grams], np.diff(block._bounds))
+        self.lipschitz = np.repeat([2 * g.lipschitz for g in grams], cross.shape)
+
+    @property
+    def diagonal(self):
+        return np.concatenate([np.ravel(g.diagonal, order="F") for g in self.grams])
 
     def apply(self, coef):
-        parts = [np.ravel(p, order="F") for p in self.block.split(coef)]
-        out = [np.ravel(g.apply(p), order="F") for g, p in zip(self.grams, parts)]
-        for (i, j), c in self.cross.items():
-            out[i] += c @ parts[j]
-            out[j] += c.T @ parts[i]
-        return np.concatenate(out)
+        coef = np.ravel(coef)
+        left, right = coef[:len(self.cross)], coef[len(self.cross):]
+        top, bottom = self.grams
+        return np.concatenate([np.ravel(top.apply(left), order="F") + self.cross @ right,
+                               np.ravel(bottom.apply(right), order="F") + self.cross.T @ left])
 
 
-def _cross_gram(left, right, omega):
+def _cross_gram(left, right):
     """Dense ``X_left^T (I_M kron Omega) X_right`` for a left block without
     multiplier (two spatial factors, then a time factor ``T``) and a right
     block whose multiplier ``V`` repeats a spatial chain over the frames:
@@ -294,9 +333,7 @@ def _cross_gram(left, right, omega):
     S_left o s_b)^T (V T))``: one contraction of the data with ``T``, then
     one over the pixels per column.
     """
-    s_left = left.spatial()
-    if omega is not None:
-        s_left = omega @ s_left
+    s_left = left.weigh(left.spatial())
     s_right = right.spatial()
     u = right.multiplier.reshape(s_right.shape[0], -1, order="F") @ left.factors[2]
     cross = np.empty((s_left.shape[1] * u.shape[1], s_right.shape[1]))
@@ -305,34 +342,15 @@ def _cross_gram(left, right, omega):
     return cross
 
 
-def _design_blocks(design):
-    blocks = (stimulus_block(design), network_block(design), memory_block(design))
-    return {b.name: b for b in blocks}
-
-
-def network_memory_block(design):
-    """The network and memory blocks, fitted as one lasso by the solver."""
-    return _StackedBlock("network+memory", [network_block(design), memory_block(design)])
-
-
-def design_block(design):
-    """The whole design ``X``: stimulus, network and memory in that order."""
-    return _StackedBlock("design", _design_blocks(design).values())
-
-
-def weight_frames(fieldarr, omega):
-    """Left-multiply each frame by the precision matrix ``omega``, if any."""
-    if omega is None:
-        return fieldarr
-    d = omega.shape[0]
-    flat = fieldarr.reshape(d, -1, order="F")
-    return (omega @ flat).reshape(fieldarr.shape, order="F")
+def network_block(design):
+    """The design's network block, ``conv kron int_y kron int_x``."""
+    return design.blocks["network"]
 
 
 def linear_predictor(coeffs, design):
     """Action of the design on the coefficients, shape ``(n_x, n_y, M)``."""
     coeffs.validate(design.basis)
-    block = design_block(design)
+    block = design.blocks["design"]
     return block.predict(block.stack(coeffs.arrays()))
 
 
@@ -346,8 +364,8 @@ def gradient(residual, design):
     residual = np.asarray(residual, dtype=np.float64)
     if residual.shape != design.response.shape:
         raise ShapeError(f"residual has shape {residual.shape}, expected {design.response.shape}")
-    block = design_block(design)
-    alpha, beta, gamma = block.split(block.adjoint(weight_frames(residual, design.omega)))
+    block = design.blocks["design"]
+    alpha, beta, gamma = block.split(block.weighted_adjoint(residual))
     return DriftCoefficients(alpha=alpha, beta=beta, gamma=gamma)
 
 

@@ -15,8 +15,10 @@ constant; for the stacked pair, twice each part's own constant on that
 part's coordinates), so the full penalized objective is non-increasing
 across every sub-solve.  The iterations run on the block's small Gram
 operator ``X^T Omega X`` (see :func:`fit_component`); the data are touched
-only when a sub-solve starts and returns, where the objective is evaluated
-exactly in residual form.
+only when a sub-solve starts and returns, where the objective and the KKT
+certificate are evaluated exactly in residual form.  The precision
+``Omega`` belongs to the design: the solver takes its blocks, and their
+Grams, from ``design.blocks`` and never applies ``Omega`` itself.
 The outer loop couples this with precision estimation (graphical lasso on
 the residual covariance) and a refit on precision-weighted data.
 """
@@ -29,15 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .bases import DriftCoefficients
-from .design import (  # noqa: F401  (network_block is re-exported)
-    _KronBlock,
-    design_block,
-    network_memory_block,
-    linear_predictor,
-    network_block,
-    stimulus_block,
-    weight_frames,
-)
+from .design import _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
 from .errors import DivergenceError
 from .precision import graphical_lasso
 
@@ -121,20 +115,20 @@ def default_lambda_path(lam_max, n_lambdas=10, min_ratio=1e-3):
 # -- component fits -----------------------------------------------------------
 
 
-def _weighted_residual(block, target, theta, lam, weights, omega):
+def _weighted_residual(block, target, theta, lam, weights):
     """Precision-weighted residual ``Omega (target - X theta)`` of ``block``
     at ``theta``, and the penalized objective there.  The loss gradient at
     ``theta`` is ``-block.adjoint`` of the residual."""
     resid = target - block.predict(theta)
-    weighted = weight_frames(resid, omega)
+    weighted = block.weigh(resid)
     penalty = lam * float(np.sum(weights * np.abs(theta)))
     return weighted, 0.5 * float(np.vdot(resid, weighted)) + penalty
 
 
-def power_lipschitz(block, omega=None, iterations=60, seed=0):
+def power_lipschitz(block, iterations=60, seed=0):
     """Power-iteration estimate of the block's largest normal-operator
     eigenvalue, from below.  A reference for the exact constant the
-    solver reads from ``block.gram(omega).lipschitz``."""
+    solver reads from ``block.gram().lipschitz``."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(block.coef_shape)
     norm = np.linalg.norm(v)
@@ -143,7 +137,7 @@ def power_lipschitz(block, omega=None, iterations=60, seed=0):
     v /= norm
     est = 0.0
     for _ in range(iterations):
-        w = block.adjoint(weight_frames(block.predict(v), omega))
+        w = block.weighted_adjoint(block.predict(v))
         est = float(np.linalg.norm(w))
         if est <= 0.0:
             return 0.0
@@ -185,16 +179,15 @@ class ComponentFit:
     kkt_ok: bool
 
 
-def fit_component(block, target, lam, weights, warm=None, omega=None, options=None,
-                  gram=None):
+def fit_component(block, target, lam, weights, warm=None, options=None):
     """Weighted-lasso fit of one block by monotone accelerated proximal
     gradient with the fixed step ``1 / L``, iterated in Gram form.
 
     ``target`` is the partial residual the block is fitted against.  The
     loss is ``1/2 theta^T G theta - c^T theta + const``, with ``c = X^T
-    Omega target`` and ``G = X^T (I_M kron Omega) X`` given as ``gram``
-    (``block.gram(omega)`` unless given).  ``gram`` also carries ``L``: the
-    exact constant, or per-coordinate constants for a stacked block.
+    Omega target`` and ``G = X^T (I_M kron Omega) X`` the block's
+    ``gram()``, which also carries ``L``: the exact constant, or
+    per-coordinate constants for a stacked block.
 
     Set-up makes one forward apply, one Omega apply and one adjoint (the
     exact objective and gradient at the warm start) and one Gram apply
@@ -204,19 +197,21 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     the objective difference ``1/2 d^T (g' + g) + delta_penalty`` (``d`` the
     step, ``g`` and ``g'`` the gradients at its ends), which does not
     cancel near the optimum; the trace adds these to the warm-start
-    objective.  The KKT certificate is read from the gradient.
+    objective.  A stalled objective is tested for convergence on this
+    gradient.
 
     On return the objective is evaluated in residual form (one forward
     apply, one Omega apply); if it exceeds the warm-start objective, the
     warm start is returned.  So the returned objective never exceeds the
-    warm-start objective, and the certificate is evaluated at the returned
-    coefficients.
+    warm-start objective.  The KKT certificate is one adjoint of the
+    returned coefficients' weighted residual, so it is exact there, and a
+    fit reports ``converged`` only if that certificate passes.
     """
     opts = options or SolverOptions()
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
-    x = (np.zeros(block.coef_shape) if warm is None
-         else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
-    gram = block.gram(omega) if gram is None else gram
+    x0 = (np.zeros(block.coef_shape) if warm is None
+          else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
+    gram = block.gram()
 
     def penalty(theta):
         return lam * float(np.sum(weights * np.abs(theta)))
@@ -230,19 +225,18 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
     lip = np.asarray(gram.lipschitz)
     if lip.max() <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
-        coef = np.zeros(block.coef_shape) if lam > 0 else x
-        _, obj = _weighted_residual(block, target, coef, lam, weights, omega)
+        coef = np.zeros(block.coef_shape) if lam > 0 else x0
+        _, obj = _weighted_residual(block, target, coef, lam, weights)
         return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True)
 
     # A stacked part with all-zero columns has constant zero and keeps step 0.
     step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
     threshold = step * lam * weights
-    r_start, f_start = _weighted_residual(block, target, x, lam, weights, omega)
+    r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
     if not np.isfinite(f_start):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
-    g_x = -block.adjoint(r_start)
+    x, g_x = x0, -block.adjoint(r_start)
     c = gram.apply(x) - g_x
-    x_start, g_start = x, g_x
     f_best, pen_x = f_start, penalty(x)
     trace = [f_best]
     y, g_y = x, g_x
@@ -279,41 +273,28 @@ def fit_component(block, target, lam, weights, warm=None, omega=None, options=No
         if (rel < opts.tol_inner and (accepted or lam > 0)
                 and it - last_kkt_check >= KKT_CHECK_EVERY):
             last_kkt_check = it
-            kkt = certificate(x, g_x)
-            if kkt[1]:
+            if certificate(x, g_x)[1]:
                 converged = True
                 break
-    _, objective = _weighted_residual(block, target, x, lam, weights, omega)
+    resid, objective = _weighted_residual(block, target, x, lam, weights)
     if objective > f_start:
         # rounding in the Gram form lost the descent: keep the warm start
-        x, g_x, objective, converged = x_start, g_start, f_start, False
-    if not converged:
-        kkt = certificate(x, g_x)
-    return ComponentFit(x, objective, np.asarray(trace), n_iter, converged, *kkt)
+        x, resid, objective, converged = x0, r_start, f_start, False
+    kkt = certificate(x, -block.adjoint(resid))
+    return ComponentFit(x, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt)
 
 
 def standardized_weights(design):
-    """Per-coefficient penalty weights equal to the design column norms.
+    """Per-coefficient penalty weights equal to the design columns'
+    precision-weighted norms, ``sqrt(diag(X_b^T (I_M kron Omega) X_b))``.
 
     Standardizes the penalty so every coefficient activates at a
-    comparable correlation level.  Kronecker-block column norms factor
-    into products of marginal column norms; the memory block's norms
-    contract the squared lagged data against the squared spatial bases.
-    Identically-zero columns get weight zero (unpenalized, never active).
+    comparable correlation level.  The diagonals are read from the blocks'
+    Grams.  Identically-zero columns get weight zero (unpenalized, never
+    active).
     """
-    basis = design.basis
-    nx = np.linalg.norm(basis.phi_x, axis=0)
-    ny = np.linalg.norm(basis.phi_y, axis=0)
-    nt = np.linalg.norm(basis.phi_t, axis=0)
-    nix = np.linalg.norm(basis.int_x, axis=0)
-    niy = np.linalg.norm(basis.int_y, axis=0)
-    nconv = np.linalg.norm(design.phi_xyt, axis=0)
-    w_stim = np.einsum("a,b,c->abc", nx, ny, nt)
-    w_net = np.einsum("a,b,c->abc", nix, niy, nconv).reshape(
-        basis.coef_shapes["network"], order="F")
-    sq = np.einsum("ma,nb,mnk->ab", basis.phi_x**2, basis.phi_y**2, design.v_lag1**2)
-    w_mem = np.sqrt(sq)
-    return {"stimulus": w_stim, "network": w_net, "memory": w_mem}
+    return {name: np.sqrt(design.blocks[name].gram().diagonal)
+            for name in design.basis.coef_shapes}
 
 
 def lambda_max(design, weights=None):
@@ -324,8 +305,8 @@ def lambda_max(design, weights=None):
     """
     if weights is None:
         weights = PenaltySpec(np.array([1.0])).weights_for(design.basis)
-    block = design_block(design)
-    grad = np.abs(block.adjoint(weight_frames(design.target, design.omega)))
+    block = design.blocks["design"]
+    grad = np.abs(block.weighted_adjoint(design.target))
     w = block.stack([np.broadcast_to(weights[b.name], b.coef_shape) for b in block.blocks])
     return float((grad[w > 0] / w[w > 0]).max(initial=0.0))
 
@@ -348,8 +329,7 @@ class Rank1Fit:
 
 def _rank1_init(design, target):
     """Leading separable direction of the stimulus-block gradient at zero."""
-    block = stimulus_block(design)
-    g = block.adjoint(weight_frames(target, design.omega))
+    g = design.blocks["stimulus"].weighted_adjoint(target)
     mat = g.reshape(-1, g.shape[-1], order="F")
     _, _, vt = np.linalg.svd(mat, full_matrices=False)
     zeta = vt[0]
@@ -369,6 +349,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     step fits the spatial field to ``sum_k g_k T_k / |g|^2`` (``g = phi_t
     zeta``) on one frame; the zeta step fits the time profile to ``c_k =
     <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
+    Both factor blocks, and their Grams, are the design's own.
     Alternation makes the joint objective non-increasing.  Returns a
     collapsed (all-zero) stimulus with a flag when either factor vanishes.
     The returned ``kkt_residual`` is the rank-one stationarity at the
@@ -376,9 +357,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     and the zeta-lasso residual with eta fixed, both in units of ``lam``.
     """
     opts = options or SolverOptions()
-    basis = design.basis
-    omega = design.omega
-    shape = basis.coef_shapes["stimulus"]  # (space..., time)
+    shape = design.basis.coef_shapes["stimulus"]  # (space..., time)
     if weights is None:
         weights = np.ones(shape)
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
@@ -394,14 +373,11 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         zeta = zeta / nz
         eta = eta * nz
 
-    space = _KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], shape[:-1])
-    times = _KronBlock("stimulus-zeta", [basis.phi_t], shape[-1:])
-    gram_space = space.gram(omega)
-    gram_times = times.gram()
-    stimulus = stimulus_block(design)
+    space, times, stimulus = (design.blocks[name]
+                              for name in ("stimulus-eta", "stimulus-zeta", "stimulus"))
 
     alpha = np.einsum("k,ij->ijk", zeta, eta)
-    resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights, omega)
+    resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
     total_iter = 0
     converged = False
     collapsed = False
@@ -414,11 +390,11 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             break
         w_eta = np.einsum("ijk,k->ij", weights, np.abs(zeta))
         fit_e = fit_component(space, (target @ profile) / scale, lam / scale, w_eta,
-                              warm=eta, omega=omega, options=opts, gram=gram_space)
+                              warm=eta, options=opts)
         eta = fit_e.coef
         total_iter += fit_e.n_iter
         field = space.predict(eta)
-        weighted_field = weight_frames(field, omega)
+        weighted_field = space.weigh(field)
         scale = float(np.vdot(field, weighted_field))
         if scale == 0.0:
             collapsed = True
@@ -426,14 +402,14 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         w_zeta = np.einsum("ijk,ij->k", weights, np.abs(eta))
         contracted = np.einsum("ij,ijk->k", weighted_field, target) / scale
         fit_z = fit_component(times, contracted, lam / scale, w_zeta, warm=zeta,
-                              options=opts, gram=gram_times)
+                              options=opts)
         zeta = fit_z.coef
         total_iter += fit_z.n_iter
         if not zeta.any():
             collapsed = True
             break
         alpha = np.einsum("k,ij->ijk", zeta, eta)
-        resid, new_obj = _weighted_residual(stimulus, target, alpha, lam, weights, omega)
+        resid, new_obj = _weighted_residual(stimulus, target, alpha, lam, weights)
         converged = bool(abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj)))
         obj = new_obj
         if converged:
@@ -441,7 +417,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     if collapsed:
         eta = np.zeros_like(eta)
         alpha = np.einsum("k,ij->ijk", zeta, eta)
-        resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights, omega)
+        resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
         converged = True
     # stationarity of each factor with the other fixed, by the chain rule,
     # from the residual of the last evaluation: the returned factors
@@ -499,23 +475,19 @@ class MrceResult:
     lambda_index: int
 
 
-def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
-                  gram=None):
+def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None):
     """Block-relaxed fit of all three components at one penalty level.
 
     Each sweep fits the rank-one stimulus, then the network and memory
     blocks jointly.  ``lam`` may be zero (pure least squares).  ``warm`` is
     an optional ``DriftCoefficients`` whose rank-one factors seed the
-    stimulus; ``gram`` is the joint block's normal operator (built here
-    unless given).
+    stimulus.
     """
     opts = options or SolverOptions()
     if penalty_weights is None:
         penalty_weights = PenaltySpec(np.array([1.0])).weights_for(design.basis)
-    stimulus = stimulus_block(design)
-    joint = network_memory_block(design)
-    if gram is None:
-        gram = joint.gram(design.omega)
+    stimulus = design.blocks["stimulus"]
+    joint = design.blocks["network+memory"]
     target = design.target
 
     zeta, eta = (None, None) if warm is None else (warm.zeta, warm.eta)
@@ -529,8 +501,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
 
     # Each sub-solve returns its objective on the partial residual; adding
     # the other block's penalty gives the full objective at that point.
-    _, obj = _weighted_residual(joint, target - stimulus.predict(alpha), theta, lam, w_nm,
-                                design.omega)
+    _, obj = _weighted_residual(joint, target - stimulus.predict(alpha), theta, lam, w_nm)
     trace = [obj + lam * float(np.sum(w_a * np.abs(alpha)))]
     iterations = {"stimulus": 0, "network": 0, "memory": 0}
     converged_blocks = {"stimulus": True, "network": True, "memory": True}
@@ -548,8 +519,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
         kkt["stimulus"] = rank1.kkt_residual
         trace.append(rank1.objective + lam * float(np.sum(w_nm * np.abs(theta))))
 
-        fit_nm = fit_component(joint, target - stimulus.predict(alpha), lam, w_nm, theta,
-                               design.omega, opts, gram)
+        fit_nm = fit_component(joint, target - stimulus.predict(alpha), lam, w_nm, theta, opts)
         theta = fit_nm.coef
         for name in ("network", "memory"):  # one joint solve, reported for both
             iterations[name] += fit_nm.n_iter
@@ -578,14 +548,14 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None,
 
 def fit_block_relaxation(design, penalty, options=None):
     """Fit the whole penalty path, each level warm-started from the
-    previous level's solution."""
+    previous level's solution.  The design's blocks keep their Grams, so
+    each is built once for the whole path."""
     opts = options or SolverOptions()
     weights = penalty.weights_for(design.basis)
-    gram = network_memory_block(design).gram(design.omega)
     fits = []
     warm = None
     for lam in penalty.lambda_path:
-        fits.append(fit_penalized(design, lam, weights, opts, warm=warm, gram=gram))
+        fits.append(fit_penalized(design, lam, weights, opts, warm=warm))
         warm = fits[-1].coeffs
     return FitResult(lambda_path=penalty.lambda_path.copy(), fits=fits)
 

@@ -17,10 +17,42 @@ from fieldnet import (
     uniform_bspline_spec,
 )
 from fieldnet.arrays import vec
-from fieldnet.design import _design_blocks, _KronBlock, network_memory_block, weight_frames
+from fieldnet.design import _KronBlock
 from fieldnet.errors import ShapeError
 from fieldnet.solver import power_lipschitz
 from oracles import explicit_design, kron_matrix, naive_convolution_tensor, theta_vec
+
+
+def random_spd(rng, n):
+    root = rng.standard_normal((n, n))
+    return root @ root.T / n + 0.5 * np.eye(n)
+
+
+def weigh_rows(dense, omega):
+    """``(I kron Omega) dense``: rows in frames of ``omega``'s size."""
+    if omega is None:
+        return dense
+    return np.kron(np.eye(dense.shape[0] // omega.shape[0]), omega) @ dense
+
+
+def block_cases(rng, design):
+    """(block, explicit columns) for every block of the design that has a
+    Gram, unweighted and weighted by a random SPD Omega, plus the
+    time-factor block (which a design leaves unweighted) under a
+    frame-sized Omega of its own."""
+    basis = design.basis
+    x, slices = explicit_design(design)
+    net, mem = x[:, slices["network"]], x[:, slices["memory"]]
+    dense = {"stimulus": x[:, slices["stimulus"]], "network": net, "memory": mem,
+             "network+memory": np.hstack([net, mem]),
+             "stimulus-eta": kron_matrix([basis.phi_x, basis.phi_y]),
+             "stimulus-zeta": basis.phi_t}
+    weighted = design.with_omega(random_spd(rng, design.grid.n_pixels))
+    cases = [(case.blocks[name], cols) for case in (design, weighted)
+             for name, cols in dense.items()]
+    times = _KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,),
+                       omega=random_spd(rng, design.grid.n_steps))
+    return cases + [(times, basis.phi_t)]
 
 
 def simple_setup(rng):
@@ -163,69 +195,52 @@ class TestGradient:
 
 class TestLipschitz:
     @staticmethod
-    def top_eigenvalue(x, omega, frame):
-        # normal matrix x^T (I kron Omega) x, frames of ``frame`` rows each
-        if omega is not None:
-            x = np.kron(np.eye(x.shape[0] // frame), np.linalg.cholesky(omega).T) @ x
-        return float(np.linalg.eigvalsh(x.T @ x)[-1])
+    def top_eigenvalue(x, omega):
+        # normal matrix x^T (I kron Omega) x
+        return float(np.linalg.eigvalsh(x.T @ weigh_rows(x, omega))[-1])
 
     def test_matches_explicit_normal_matrix(self, rng):
         for _ in range(5):
-            grid, basis, _, design = tiny_instance(rng)
-            d = grid.n_pixels
-            x, slices = explicit_design(design)
-            blocks = _design_blocks(design)
-            cases = [(blocks[name], x[:, cols], d) for name, cols in slices.items()]
-            cases.append((_KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y],
-                                     (basis.p_x, basis.p_y)),
-                          kron_matrix([basis.phi_x, basis.phi_y]), d))
-            cases.append((_KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,)),
-                          basis.phi_t, grid.n_steps))
-            for block, dense, frame in cases:
-                root = rng.standard_normal((frame, frame))
-                for omega in (None, root @ root.T / frame + 0.5 * np.eye(frame)):
-                    want = self.top_eigenvalue(dense, omega, frame)
-                    got = block.lipschitz(omega)
-                    assert abs(got - want) <= 1e-12 * want, (block.name, got, want)
-                    assert power_lipschitz(block, omega) <= got * (1 + 1e-12)
+            _, _, _, design = tiny_instance(rng)
+            for block, dense in block_cases(rng, design):
+                want = self.top_eigenvalue(dense, block.omega)
+                got = block.gram().lipschitz
+                if block.name == "network+memory":
+                    # per-coordinate constants D majorize the normal matrix:
+                    # the top eigenvalue of D^-1/2 X^T Omega X D^-1/2 is at most 1
+                    assert got.shape == block.coef_shape
+                    assert self.top_eigenvalue(dense / np.sqrt(got), block.omega) <= 1 + 1e-12
+                    continue
+                assert abs(got - want) <= 1e-12 * want, (block.name, got, want)
+                assert power_lipschitz(block) <= got * (1 + 1e-12)
 
 
 class TestStackedBlock:
     def test_network_memory_block_matches_explicit_columns(self, rng):
         for _ in range(5):
             grid, basis, _, design = tiny_instance(rng)
-            d, m = grid.n_pixels, grid.n_steps
             x, slices = explicit_design(design)
             dense = np.hstack([x[:, slices["network"]], x[:, slices["memory"]]])
-            blocks = _design_blocks(design)
-            block = network_memory_block(design)
+            block = design.blocks["network+memory"]
             assert block.coef_shape == (dense.shape[1],)
             theta = rng.standard_normal(dense.shape[1])
             want = dense @ theta
             got = vec(block.predict(theta))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             beta, gamma = block.split(theta)
-            assert beta.shape == blocks["network"].coef_shape
+            assert beta.shape == design.blocks["network"].coef_shape
             assert np.array_equal(block.stack([beta, gamma]), theta)
-            root = rng.standard_normal((d, d))
             resid = rng.standard_normal(design.response.shape)
-            for omega in (None, root @ root.T / d + 0.5 * np.eye(d)):
-                weighted = vec(resid) if omega is None else np.kron(np.eye(m), omega) @ vec(resid)
-                want = dense.T @ weighted
-                got = block.adjoint(weight_frames(resid, omega))
+            for case in (design, design.with_omega(random_spd(rng, grid.n_pixels))):
+                want = weigh_rows(dense, case.omega).T @ vec(resid)
+                got = case.blocks["network+memory"].weighted_adjoint(resid)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-                # the per-coordinate constants D majorize the normal matrix:
-                # the top eigenvalue of D^-1/2 X^T Omega X D^-1/2 is at most 1
-                lip = block.lipschitz(omega)
-                assert lip.shape == theta.shape
-                scaled = TestLipschitz.top_eigenvalue(dense / np.sqrt(lip), omega, d)
-                assert scaled <= 1 + 1e-12, scaled
 
     def test_predictor_and_gradient_equal_per_block_sums(self, rng):
         for _ in range(5):
             _, basis, _, design = tiny_instance(rng)
             coeffs = random_coeffs(rng, basis)
-            blocks = _design_blocks(design)
+            blocks = design.blocks
             pred = (blocks["stimulus"].predict(coeffs.alpha)
                     + blocks["network"].predict(coeffs.beta)
                     + blocks["memory"].predict(coeffs.gamma))
@@ -237,57 +252,63 @@ class TestStackedBlock:
 
 
 class TestGram:
-    @staticmethod
-    def cases(design):
-        """(block, explicit design columns, rows per frame) for each block
-        the solver iterates on."""
-        basis, d = design.basis, design.grid.n_pixels
-        x, slices = explicit_design(design)
-        blocks = _design_blocks(design)
-        net, mem = x[:, slices["network"]], x[:, slices["memory"]]
-        return [
-            (_KronBlock("stimulus-eta", [basis.phi_x, basis.phi_y], (basis.p_x, basis.p_y)),
-             kron_matrix([basis.phi_x, basis.phi_y]), d),
-            (_KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,)), basis.phi_t,
-             design.grid.n_steps),
-            (blocks["network"], net, d),
-            (blocks["memory"], mem, d),
-            (network_memory_block(design), np.hstack([net, mem]), d),
-        ]
-
     def test_apply_matches_matrix_free_and_explicit_normal_operator(self, rng):
         for _ in range(5):
             _, _, _, design = tiny_instance(rng)
-            for block, dense, frame in self.cases(design):
-                root = rng.standard_normal((frame, frame))
-                for omega in (None, root @ root.T / frame + 0.5 * np.eye(frame)):
-                    weighted = (dense if omega is None
-                                else np.kron(np.eye(dense.shape[0] // frame), omega) @ dense)
-                    v = rng.standard_normal(block.coef_shape)
-                    want = dense.T @ (weighted @ vec(v))
-                    got = block.gram(omega).apply(v)
-                    assert got.shape == block.coef_shape
-                    free = block.adjoint(weight_frames(block.predict(v), omega))
-                    tol = 1e-12 * np.abs(want).max()
-                    assert np.abs(vec(got) - want).max() <= tol, block.name
-                    assert np.abs(vec(got) - vec(free)).max() <= tol, block.name
+            for block, dense in block_cases(rng, design):
+                v = rng.standard_normal(block.coef_shape)
+                normal = dense.T @ weigh_rows(dense, block.omega)
+                want = normal @ vec(v)
+                got = block.gram().apply(v)
+                assert got.shape == block.coef_shape
+                free = block.weighted_adjoint(block.predict(v))
+                tol = 1e-12 * np.abs(want).max()
+                assert np.abs(vec(got) - want).max() <= tol, block.name
+                assert np.abs(vec(got) - vec(free)).max() <= tol, block.name
+                diagonal = np.diag(normal)
+                assert np.abs(vec(block.gram().diagonal) - diagonal).max() <= \
+                    1e-12 * diagonal.max(), block.name
 
     def test_cross_term_matches_column_by_column_construction(self, rng):
         for _ in range(5):
             _, _, _, design = tiny_instance(rng)
-            d = design.grid.n_pixels
-            blocks = _design_blocks(design)
-            net, mem = blocks["network"], blocks["memory"]
-            units = np.eye(int(np.prod(mem.coef_shape)))
-            root = rng.standard_normal((d, d))
-            for omega in (None, root @ root.T / d + 0.5 * np.eye(d)):
-                got = network_memory_block(design).gram(omega).cross[(0, 1)]
+            for case in (design, design.with_omega(random_spd(rng, design.grid.n_pixels))):
+                net, mem = case.blocks["network"], case.blocks["memory"]
+                units = np.eye(int(np.prod(mem.coef_shape)))
+                got = case.blocks["network+memory"].gram().cross
                 want = np.column_stack([
-                    vec(net.adjoint(weight_frames(mem.predict(e.reshape(mem.coef_shape,
-                                                                         order="F")), omega)))
+                    vec(net.weighted_adjoint(mem.predict(e.reshape(mem.coef_shape, order="F"))))
                     for e in units])
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestDesignBlocks:
+    def test_with_omega_builds_its_own_blocks_and_keeps_the_originals(self, rng):
+        _, _, _, design = tiny_instance(rng)
+        m = design.grid.n_steps
+        x, slices = explicit_design(design)
+        joint = np.hstack([x[:, slices["network"]], x[:, slices["memory"]]])
+        plain = {name: block.gram() for name, block in design.blocks.items()
+                 if name != "design"}
+        omega = random_spd(rng, design.grid.n_pixels)
+        weighted = design.with_omega(omega)
+        assert design.blocks is design.blocks
+        for name, block in weighted.blocks.items():
+            assert block is not design.blocks[name]
+            assert block.omega is (None if name == "stimulus-zeta" else omega), name
+            assert design.blocks[name].omega is None
+        v = rng.standard_normal(joint.shape[1])
+        big = np.kron(np.eye(m), omega)
+        for case, normal in ((weighted, joint.T @ big @ joint), (design, joint.T @ joint)):
+            got = case.blocks["network+memory"].gram().apply(v)
+            want = normal @ v
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert all(design.blocks[name].gram() is gram for name, gram in plain.items())
+        resid = rng.standard_normal(design.response.shape)
+        for case, want in ((weighted, x.T @ (big @ vec(resid))), (design, x.T @ vec(resid))):
+            got = theta_vec(gradient(resid, case))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestCoefShapes:
@@ -296,15 +317,14 @@ class TestCoefShapes:
             _, basis, _, design = tiny_instance(rng)
             shapes = basis.coef_shapes
             assert list(shapes) == ["stimulus", "network", "memory"]
-            blocks = _design_blocks(design)
-            assert {name: b.coef_shape for name, b in blocks.items()} == shapes
+            assert {name: design.blocks[name].coef_shape for name in shapes} == shapes
             zeros = DriftCoefficients.zeros(basis)
             assert [a.shape for a in zeros.arrays()] == list(shapes.values())
             weights = PenaltySpec(np.array([1.0])).weights_for(basis)
             assert {name: w.shape for name, w in weights.items()} == shapes
             counts = (basis.n_stimulus, basis.n_network, basis.n_memory)
             assert counts == tuple(int(np.prod(s)) for s in shapes.values())
-            assert network_memory_block(design).coef_shape == (counts[1] + counts[2],)
+            assert design.blocks["network+memory"].coef_shape == (counts[1] + counts[2],)
 
 
 class TestParameterCounts:

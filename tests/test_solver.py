@@ -24,7 +24,7 @@ from fieldnet import (
     uniform_bspline_spec,
     white_covariance,
 )
-from fieldnet import solver
+from fieldnet import design as design_module
 from fieldnet.arrays import vec
 from fieldnet.solver import (
     _KronBlock,
@@ -32,9 +32,7 @@ from fieldnet.solver import (
     fit_penalized,
     kkt_residual,
     network_block,
-    network_memory_block,
     standardized_weights,
-    weight_frames,
 )
 from oracles import explicit_design, theta_vec
 
@@ -392,17 +390,39 @@ class TestBlockRelaxation:
         assert warm_iters <= cold_iters
 
 
+class TestGramsBuiltOncePerDesign:
+    def test_path_builds_each_gram_once_per_design(self, rng, monkeypatch):
+        built = []
+        for cls in (design_module._KronBlock, design_module._StackedBlock):
+            def counting(self, build=cls._build_gram):
+                built.append(self.name)
+                return build(self)
+            monkeypatch.setattr(cls, "_build_gram", counting)
+        grid, basis, design = rank1_instance(rng)
+        weighted = design.with_omega(random_precision(rng, grid.n_pixels))
+        penalty = PenaltySpec(default_lambda_path(lambda_max(design), 5, 1e-2))
+        once = ["memory", "network", "network+memory", "stimulus-eta", "stimulus-zeta"]
+        # a design keeps its Grams: a second path on it builds none
+        for case, want in ((design, once), (weighted, once), (design, [])):
+            built.clear()
+            path = fit_block_relaxation(case, penalty)
+            assert sum(f.n_sweeps for f in path.fits) > len(penalty.lambda_path)
+            assert sorted(built) == want, built
+
+
 def random_precision(rng, d):
     root = rng.standard_normal((d, d))
     return root @ root.T / d + 0.5 * np.eye(d)
 
 
 class CountingBlock:
-    """A design block that counts its forward and adjoint applies."""
+    """A design block that counts its forward, Omega and adjoint applies,
+    and hands out a Gram that counts its applies."""
 
     def __init__(self, block):
         self.block = block
-        self.predicts = self.adjoints = 0
+        self.predicts = self.weighs = self.adjoints = 0
+        self.counting_gram = CountingGram(block.gram())
 
     def __getattr__(self, name):
         return getattr(self.block, name)
@@ -411,9 +431,16 @@ class CountingBlock:
         self.predicts += 1
         return self.block.predict(coef)
 
+    def weigh(self, fieldarr):
+        self.weighs += 1
+        return self.block.weigh(fieldarr)
+
     def adjoint(self, fieldarr):
         self.adjoints += 1
         return self.block.adjoint(fieldarr)
+
+    def gram(self):
+        return self.counting_gram
 
 
 class CountingGram:
@@ -433,33 +460,22 @@ class CountingGram:
 
 class TestResidualBookkeeping:
     @pytest.mark.parametrize("case", ["network", "network-omega", "network+memory"])
-    def test_gram_apply_per_iteration(self, rng, monkeypatch, case):
+    def test_gram_apply_per_iteration(self, rng, case):
         # an iteration is one Gram apply; the data are touched only at
-        # set-up and at return, the same number of times for any budget
+        # set-up and at return (objective and exact gradient at each end)
         _, _, _, design = tiny_instance(rng)
-        omega = random_precision(rng, design.grid.n_pixels) if case == "network-omega" else None
+        if case == "network-omega":
+            design = design.with_omega(random_precision(rng, design.grid.n_pixels))
         lam = 0.05 * lambda_max(design)
-        weighted = []
-
-        def counting_weight_frames(fieldarr, om):
-            weighted.append(om is omega)
-            return weight_frames(fieldarr, om)
-
-        monkeypatch.setattr(solver, "weight_frames", counting_weight_frames)
-        touches = {}
         for n in (10, 30):
-            block = CountingBlock(network_memory_block(design) if case == "network+memory"
-                                  else network_block(design))
-            gram = CountingGram(block.gram(omega))
-            weighted.clear()
+            block = CountingBlock(design.blocks["network+memory" if case == "network+memory"
+                                                else "network"])
             fit = fit_component(block, design.target, lam, np.ones(block.coef_shape),
-                                omega=omega, options=SolverOptions(tol_inner=0.0, max_inner=n),
-                                gram=gram)
+                                options=SolverOptions(tol_inner=0.0, max_inner=n))
             assert fit.n_iter == n and not fit.converged
-            assert gram.applies == n + 1
-            assert all(weighted)
-            touches[n] = (block.predicts, block.adjoints, len(weighted))
-        assert touches[10] == touches[30], touches
+            assert block.counting_gram.applies == n + 1
+            assert block.omega is design.omega
+            assert (block.predicts, block.weighs, block.adjoints) == (2, 2, 2)
 
     def test_lambda_zero_cancellation(self):
         # a large fitted part and a tiny residual: the objective is a small
@@ -485,6 +501,9 @@ class TestResidualBookkeeping:
         # trace of objective differences tracks the residual-form objective
         assert fit.objective <= 0.5e-12 * (1 + 1e-4), fit.objective
         assert abs(fit.trace[-1] - fit.objective) <= 1e-6 * fit.trace[0], fit.trace[-1]
+        # the certificate is the residual-form gradient at the returned point
+        want = float(np.abs(a.T @ (target - a @ fit.coef)).max())
+        assert abs(fit.kkt_residual - want) <= 1e-12 * want, (fit.kkt_residual, want)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "omega"])
     def test_trace_ends_at_full_objective_of_returned_coefficients(self, weighted):
@@ -554,6 +573,16 @@ class TestStandardizedWeights:
             w["memory"].ravel(order="F"),
         ])
         want = np.linalg.norm(x, axis=0)
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, want.max())
+
+    def test_weighted_design_gives_omega_norms(self, rng):
+        _, basis, _, design = tiny_instance(rng)
+        omega = random_precision(rng, design.grid.n_pixels)
+        x, _ = explicit_design(design)
+        big = np.kron(np.eye(design.grid.n_steps), omega)
+        w = standardized_weights(design.with_omega(omega))
+        got = np.concatenate([w[name].ravel(order="F") for name in basis.coef_shapes])
+        want = np.sqrt(np.einsum("ij,ij->j", x, big @ x))
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, want.max())
 
 
