@@ -127,6 +127,7 @@ def _lambda_fit_payload(fit):
         "converged": fit.converged,
         "n_sweeps": fit.n_sweeps,
         "converged_outer": fit.converged_outer,
+        "working_set": fit.working_set,
     }
 
 

@@ -22,8 +22,12 @@ implementation.  A block's ``gram()`` is its normal operator ``X^T (I_M
 kron Omega) X`` in factored form, built on first use and kept, whose size
 depends on the basis dimensions only: a Kronecker product of small factor
 Grams per block (Currie, Durban & Eilers 2006), plus a dense
-network-memory cross term for the joint block.  The solver iterates on
-it; building it costs one pass over the data.
+network-memory cross term for the joint block.  Building it costs one
+pass over the data.  The solver iterates on a Gram's restriction to a
+working set of coordinates, ``restrict(W)``: the dense ``G[W, W]``
+gathered from the factors while it holds no more entries than the Gram
+itself, the full apply between a scatter and a gather otherwise.  Its
+periodic KKT checks, which grow the working set, use the full ``apply``.
 
 The response for modeled frame ``k`` is observation frame ``k + 1``.  The
 lagged frame ``k`` enters as a fixed offset, so the regression target is
@@ -234,7 +238,32 @@ class _KronBlock(_Block):
         return _Gram(factors, self.coef_shape, kron_shape)
 
 
-class _Gram:
+class _GramBase:
+    """What both Gram forms share: the restriction to a working set.
+
+    ``size`` counts the entries the Gram stores, ``n_coef`` its
+    coordinates; the subclass supplies ``apply`` and ``submatrix``.
+    """
+
+    def restrict(self, index):
+        """``G[W, W]`` as a function on W-vectors, for sorted flat
+        (column-major) coordinate indices ``index``.  It is the dense
+        ``submatrix`` while that holds no more entries than the Gram
+        stores, and otherwise the full apply between a scatter into and a
+        gather from a full-length vector.
+        """
+        index = np.asarray(index, dtype=np.intp)
+        if index.size ** 2 <= self.size:
+            return self.submatrix(index).__matmul__
+
+        def apply(vector):
+            full = np.zeros(self.n_coef)
+            full[index] = vector
+            return np.ravel(self.apply(full), order="F")[index]
+        return apply
+
+
+class _Gram(_GramBase):
     """A block's normal operator as a Kronecker product of small symmetric
     factors, applied by mode products: its size depends on the basis
     dimensions only, not on the frame or pixel count.
@@ -248,6 +277,8 @@ class _Gram:
         self.factors = factors
         self.coef_shape = coef_shape
         self.kron_shape = kron_shape
+        self.n_coef = math.prod(coef_shape)
+        self.size = sum(f.size for f in factors)
         self.lipschitz = float(np.prod([np.linalg.eigvalsh(f)[-1] for f in factors]))
 
     @property
@@ -258,6 +289,15 @@ class _Gram:
     def apply(self, coef):
         arr = np.reshape(coef, self.kron_shape, order="F")
         return rho_chain(self.factors, arr).reshape(self.coef_shape, order="F")
+
+    def submatrix(self, index):
+        """Dense ``G[W, W]``: entry ``(i, j)`` is the product over the
+        factors of their entries at the modes of ``i`` and ``j``."""
+        modes = np.unravel_index(np.asarray(index, dtype=np.intp), self.kron_shape, order="F")
+        out = self.factors[0][np.ix_(modes[0], modes[0])]
+        for factor, mode in zip(self.factors[1:], modes[1:]):
+            out *= factor[np.ix_(mode, mode)]
+        return out
 
 
 class _StackedBlock(_Block):
@@ -294,7 +334,7 @@ class _StackedBlock(_Block):
         return _StackedGram([network.gram(), memory.gram()], _cross_gram(network, memory))
 
 
-class _StackedGram:
+class _StackedGram(_GramBase):
     """Normal operator of ``[X_1 X_2]``: the parts' Grams on the diagonal
     and the dense cross term ``C = X_1^T (I_M kron Omega) X_2`` off it.
 
@@ -309,6 +349,8 @@ class _StackedGram:
         self.grams = grams
         self.cross = cross
         self.lipschitz = np.repeat([2 * g.lipschitz for g in grams], cross.shape)
+        self.n_coef = sum(cross.shape)
+        self.size = sum(g.size for g in grams) + cross.size
 
     @property
     def diagonal(self):
@@ -320,6 +362,20 @@ class _StackedGram:
         top, bottom = self.grams
         return np.concatenate([np.ravel(top.apply(left), order="F") + self.cross @ right,
                                np.ravel(bottom.apply(right), order="F") + self.cross.T @ left])
+
+    def submatrix(self, index):
+        """Dense ``G[W, W]``: the parts' own submatrices on the diagonal,
+        rows and columns of the cross term off it."""
+        index = np.asarray(index, dtype=np.intp)
+        split = int(np.searchsorted(index, len(self.cross)))
+        left, right = index[:split], index[split:] - len(self.cross)
+        top, bottom = self.grams
+        out = np.empty((index.size, index.size))
+        out[:split, :split] = top.submatrix(left)
+        out[:split, split:] = self.cross[np.ix_(left, right)]
+        out[split:, :split] = out[:split, split:].T
+        out[split:, split:] = bottom.submatrix(right)
+        return out
 
 
 def _cross_gram(left, right):

@@ -14,11 +14,13 @@ gradient method with the step ``1 / L`` (``L`` a block's exact Lipschitz
 constant; for the stacked pair, twice each part's own constant on that
 part's coordinates), so the full penalized objective is non-increasing
 across every sub-solve.  The iterations run on the block's small Gram
-operator ``X^T Omega X`` (see :func:`fit_component`); the data are touched
-only when a sub-solve starts and returns, where the objective and the KKT
-certificate are evaluated exactly in residual form.  The precision
-``Omega`` belongs to the design: the solver takes its blocks, and their
-Grams, from ``design.blocks`` and never applies ``Omega`` itself.
+operator ``X^T Omega X`` restricted to a working set of coordinates, which
+periodic full-gradient KKT checks grow (see :func:`fit_component`); the
+data are touched only when a sub-solve starts and returns, where the
+objective and the KKT certificate are evaluated exactly in residual form.
+The precision ``Omega`` belongs to the design: the solver takes its
+blocks, and their Grams, from ``design.blocks`` and never applies
+``Omega`` itself.
 The outer loop couples this with precision estimation (graphical lasso on
 the residual covariance) and a refit on precision-weighted data.
 """
@@ -53,8 +55,8 @@ class SolverOptions:
     max_rank1: int = 50
 
 
-# Iterations between KKT checks once the objective has stalled.
-KKT_CHECK_EVERY = 25
+# Iterations between full-gradient KKT checks of a working-set fit.
+KKT_CHECK_EVERY = 10
 # KKT pass tolerance, relative to the penalty level.
 KKT_TOL_FACTOR = 1e-4
 
@@ -168,6 +170,13 @@ def kkt_residual(grad_f, coef, lam, weights, tol_factor=KKT_TOL_FACTOR):
     return resid, ok
 
 
+def _scatter(values, index, size):
+    """A length-``size`` vector holding ``values`` at ``index``, zero elsewhere."""
+    out = np.zeros(size)
+    out[index] = values
+    return out
+
+
 @dataclass
 class ComponentFit:
     coef: np.ndarray
@@ -177,11 +186,13 @@ class ComponentFit:
     converged: bool
     kkt_residual: float
     kkt_ok: bool
+    working_set: int
 
 
 def fit_component(block, target, lam, weights, warm=None, options=None):
     """Weighted-lasso fit of one block by monotone accelerated proximal
-    gradient with the fixed step ``1 / L``, iterated in Gram form.
+    gradient with the fixed step ``1 / L``, iterated in Gram form on a
+    working set of coordinates.
 
     ``target`` is the partial residual the block is fitted against.  The
     loss is ``1/2 theta^T G theta - c^T theta + const``, with ``c = X^T
@@ -190,15 +201,22 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     per-coordinate constants for a stacked block.
 
     Set-up makes one forward apply, one Omega apply and one adjoint (the
-    exact objective and gradient at the warm start) and one Gram apply
-    (``c``).  An iteration is one Gram apply: the extrapolated point's
-    gradient ``G y - c`` is the same affine combination of the iterates'
-    gradients as the point is of the iterates.  A candidate is accepted on
-    the objective difference ``1/2 d^T (g' + g) + delta_penalty`` (``d`` the
-    step, ``g`` and ``g'`` the gradients at its ends), which does not
-    cancel near the optimum; the trace adds these to the warm-start
-    objective.  A stalled objective is tested for convergence on this
-    gradient.
+    exact objective and gradient at the warm start) and one full Gram apply
+    (``c``).  The working set ``W`` starts as the warm start's support, the
+    unpenalized coordinates and every violator ``|g_i| > lam w_i`` of that
+    gradient; when it is empty the warm start is optimal and is returned
+    after no iteration.  An iteration applies ``gram.restrict(W)``, a
+    dense ``G[W, W]`` or a scattered full apply: the extrapolated point's
+    gradient is the same affine combination of the iterates' gradients as
+    the point is of the iterates.  A candidate is accepted on the objective
+    difference ``1/2 d^T (g' + g) + delta_penalty`` (``d`` the step, ``g``
+    and ``g'`` the gradients at its ends), which does not cancel near the
+    optimum; the trace adds these to the warm-start objective.
+
+    Every ``KKT_CHECK_EVERY`` iterations one full Gram apply gives the
+    gradient at every coordinate.  A stalled objective converges if the KKT
+    test passes on it; otherwise its violators join ``W`` at zero, with the
+    momentum kept.
 
     On return the objective is evaluated in residual form (one forward
     apply, one Omega apply); if it exceeds the warm-start objective, the
@@ -206,50 +224,61 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     warm-start objective.  The KKT certificate is one adjoint of the
     returned coefficients' weighted residual, so it is exact there, and a
     fit reports ``converged`` only if that certificate passes.
+    ``working_set`` is the final (largest) size of ``W``.
     """
     opts = options or SolverOptions()
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
-    x0 = (np.zeros(block.coef_shape) if warm is None
-          else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
+    shape = block.coef_shape
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
+    x0 = (np.zeros(shape) if warm is None
+          else np.array(warm, dtype=np.float64).reshape(shape))
     gram = block.gram()
-
-    def penalty(theta):
-        return lam * float(np.sum(weights * np.abs(theta)))
+    w = np.ravel(weights, order="F")
 
     def certificate(theta, grad):
         # with no penalty there is no KKT test: report the gradient size
         if lam == 0:
             return float(np.abs(grad).max()), True
-        return kkt_residual(grad, theta, lam, weights)
+        return kkt_residual(np.ravel(grad, order="F"), np.ravel(theta, order="F"), lam, w)
 
     lip = np.asarray(gram.lipschitz)
     if lip.max() <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
-        coef = np.zeros(block.coef_shape) if lam > 0 else x0
+        coef = np.zeros(shape) if lam > 0 else x0
         _, obj = _weighted_residual(block, target, coef, lam, weights)
-        return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True)
+        return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True, 0)
 
     # A stacked part with all-zero columns has constant zero and keeps step 0.
-    step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
-    threshold = step * lam * weights
+    step = np.broadcast_to(np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300),
+                           w.shape)
+    threshold = step * lam * w
     r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
     if not np.isfinite(f_start):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
-    x, g_x = x0, -block.adjoint(r_start)
-    c = gram.apply(x) - g_x
-    f_best, pen_x = f_start, penalty(x)
+    x_full = np.ravel(x0, order="F")
+    g_full = np.ravel(-block.adjoint(r_start), order="F")
+    c = np.ravel(gram.apply(x0), order="F") - g_full
+    active = np.flatnonzero((x_full != 0) | (w == 0) | (np.abs(g_full) > lam * w))
+    if active.size == 0:
+        kkt = certificate(x0, g_full)
+        return ComponentFit(x0, f_start, np.array([f_start]), 0, kkt[1], *kkt, 0)
+
+    def restrict(index):
+        return gram.restrict(index), c[index], step[index], threshold[index], lam * w[index]
+
+    op, c_w, step_w, threshold_w, lam_w = restrict(active)
+    x, g_x = x_full[active], g_full[active]
+    f_best, pen_x = f_start, float(lam_w @ np.abs(x))
     trace = [f_best]
     y, g_y = x, g_x
     t_mom = 1.0
     n_iter = 0
     converged = False
-    last_kkt_check = -KKT_CHECK_EVERY
 
     for it in range(1, opts.max_inner + 1):
         n_iter = it
-        cand = soft_threshold(y - step * g_y, threshold)
-        g_cand = gram.apply(cand) - c
-        pen_cand = penalty(cand)
+        cand = soft_threshold(y - step_w * g_y, threshold_w)
+        g_cand = op(cand) - c_w
+        pen_cand = float(lam_w @ np.abs(cand))
         delta = 0.5 * float(np.vdot(cand - x, g_cand + g_x)) + pen_cand - pen_x
         if not np.isfinite(delta):
             raise DivergenceError(f"component fit diverged for block {block.name!r}")
@@ -267,21 +296,34 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
         rel = abs(f_best - f_new) / max(1.0, abs(f_best))
         x, g_x, pen_x, f_best, t_mom = x_new, g_new, pen_new, f_new, t_new
         trace.append(f_best)
+        if it % KKT_CHECK_EVERY:
+            continue
+        x_full = _scatter(x, active, w.size)
+        g_full = np.ravel(gram.apply(x_full), order="F") - c
         # At an optimum rounding can reject every candidate, so with a
-        # penalty a rejected step also reaches the KKT test.  Without one
-        # there is no such test, and only an accepted stall converges.
+        # penalty a rejected step also counts as a stall.  Without one
+        # there is no KKT test, and only an accepted stall converges.
         if (rel < opts.tol_inner and (accepted or lam > 0)
-                and it - last_kkt_check >= KKT_CHECK_EVERY):
-            last_kkt_check = it
-            if certificate(x, g_x)[1]:
-                converged = True
-                break
-    resid, objective = _weighted_residual(block, target, x, lam, weights)
+                and certificate(x_full, g_full)[1]):
+            converged = True
+            break
+        grown = np.abs(g_full) > lam * w
+        grown[active] = True
+        grown = np.flatnonzero(grown)
+        if grown.size > active.size:
+            x, y = (_scatter(v, np.searchsorted(grown, active), grown.size) for v in (x, y))
+            active = grown
+            op, c_w, step_w, threshold_w, lam_w = restrict(active)
+            g_x, g_y = g_full[active], op(y) - c_w
+
+    coef = _scatter(x, active, w.size).reshape(shape, order="F")
+    resid, objective = _weighted_residual(block, target, coef, lam, weights)
     if objective > f_start:
         # rounding in the Gram form lost the descent: keep the warm start
-        x, resid, objective, converged = x0, r_start, f_start, False
-    kkt = certificate(x, -block.adjoint(resid))
-    return ComponentFit(x, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt)
+        coef, resid, objective, converged = x0, r_start, f_start, False
+    kkt = certificate(coef, -block.adjoint(resid))
+    return ComponentFit(coef, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt,
+                        int(active.size))
 
 
 def standardized_weights(design):
@@ -350,7 +392,9 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     zeta``) on one frame; the zeta step fits the time profile to ``c_k =
     <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
     Both factor blocks, and their Grams, are the design's own.
-    Alternation makes the joint objective non-increasing.  Returns a
+    Alternation makes the joint objective non-increasing.  It stops once
+    that objective stalls (``tol_rank1``) at stationary factors, whose
+    rank-one KKT residual is at most ``KKT_TOL_FACTOR * lam``.  Returns a
     collapsed (all-zero) stimulus with a flag when either factor vanishes.
     The returned ``kkt_residual`` is the rank-one stationarity at the
     returned factors: the larger of the eta-lasso residual with zeta fixed
@@ -376,11 +420,20 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     space, times, stimulus = (design.blocks[name]
                               for name in ("stimulus-eta", "stimulus-zeta", "stimulus"))
 
+    def stationarity(resid):
+        # each factor's lasso KKT residual with the other fixed, by the
+        # chain rule, at the factors whose residual this is
+        grad = -stimulus.adjoint(resid)
+        return max(kkt_residual(grad @ zeta, eta, lam, weights @ np.abs(zeta))[0],
+                   kkt_residual(np.tensordot(eta, grad, 2), zeta, lam,
+                                np.tensordot(np.abs(eta), weights, 2))[0])
+
     alpha = np.einsum("k,ij->ijk", zeta, eta)
     resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
     total_iter = 0
     converged = False
     collapsed = False
+    kkt = None
     n_alt = 0
     for n_alt in range(1, opts.max_rank1 + 1):
         profile = times.predict(zeta)
@@ -410,23 +463,21 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             break
         alpha = np.einsum("k,ij->ijk", zeta, eta)
         resid, new_obj = _weighted_residual(stimulus, target, alpha, lam, weights)
-        converged = bool(abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj)))
+        stalled = abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj))
         obj = new_obj
-        if converged:
+        # a stalled objective is not a solution unless the factors are stationary
+        kkt = stationarity(resid) if stalled else None
+        if stalled and (lam == 0 or kkt <= KKT_TOL_FACTOR * lam):
+            converged = True
             break
     if collapsed:
         eta = np.zeros_like(eta)
         alpha = np.einsum("k,ij->ijk", zeta, eta)
         resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
-        converged = True
-    # stationarity of each factor with the other fixed, by the chain rule,
-    # from the residual of the last evaluation: the returned factors
-    grad = -stimulus.adjoint(resid)
-    kkt = max(kkt_residual(grad @ zeta, eta, lam, weights @ np.abs(zeta))[0],
-              kkt_residual(np.tensordot(eta, grad, 2), zeta, lam,
-                           np.tensordot(np.abs(eta), weights, 2))[0])
-    # a stalled objective is not a solution unless the factors are stationary
-    converged = bool(converged and (lam == 0 or kkt <= KKT_TOL_FACTOR * lam))
+        kkt = stationarity(resid)
+        converged = bool(lam == 0 or kkt <= KKT_TOL_FACTOR * lam)
+    elif kkt is None:
+        kkt = stationarity(resid)
     return Rank1Fit(zeta, eta, alpha, obj, n_alt, total_iter, converged, collapsed, kkt)
 
 
@@ -444,6 +495,7 @@ class LambdaFit:
     kkt: dict
     n_sweeps: int
     converged_outer: bool
+    working_set: int
 
     @property
     def objective(self):
@@ -507,7 +559,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None):
     converged_blocks = {"stimulus": True, "network": True, "memory": True}
     kkt = {"stimulus": 0.0, "network": 0.0, "memory": 0.0}
     converged_outer = False
-    sweeps = 0
+    sweeps = working_set = 0
     for sweeps in range(1, opts.max_sweeps + 1):
         obj_start = trace[-1]
 
@@ -521,6 +573,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None):
 
         fit_nm = fit_component(joint, target - stimulus.predict(alpha), lam, w_nm, theta, opts)
         theta = fit_nm.coef
+        working_set = max(working_set, fit_nm.working_set)
         for name in ("network", "memory"):  # one joint solve, reported for both
             iterations[name] += fit_nm.n_iter
             converged_blocks[name] = fit_nm.converged
@@ -543,6 +596,7 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None):
         kkt=kkt,
         n_sweeps=sweeps,
         converged_outer=converged_outer,
+        working_set=working_set,
     )
 
 

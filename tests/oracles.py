@@ -8,7 +8,15 @@ import numpy as np
 
 from fieldnet.arrays import vec
 from fieldnet.bases import eval_bspline_basis, network_values
+from fieldnet.errors import DivergenceError
 from fieldnet.precision import glasso_objective, ridge_repair
+from fieldnet.solver import (
+    ComponentFit,
+    SolverOptions,
+    _weighted_residual,
+    kkt_residual,
+    soft_threshold,
+)
 
 
 def kron_matrix(factors):
@@ -206,6 +214,76 @@ def full_sweep_glasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
         if gap <= gap_tol:
             break
     return omega, sweep, gap
+
+
+def full_width_fit_component(block, target, lam, weights, warm=None, options=None):
+    """Weighted-lasso fit whose every iteration applies the block's full
+    Gram: monotone accelerated proximal gradient with the step ``1 / L``
+    over all coordinates at once.
+
+    Same set-up, acceptance test and return as the library's working-set
+    fit, so run to the same budget both reach the same optimum.  A stalled
+    objective is tested for convergence at most once every 25 iterations.
+    """
+    opts = options or SolverOptions()
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
+    x0 = (np.zeros(block.coef_shape) if warm is None
+          else np.array(warm, dtype=np.float64).reshape(block.coef_shape))
+    gram = block.gram()
+
+    def penalty(theta):
+        return lam * float(np.sum(weights * np.abs(theta)))
+
+    def certificate(theta, grad):
+        if lam == 0:
+            return float(np.abs(grad).max()), True
+        return kkt_residual(grad, theta, lam, weights)
+
+    lip = np.asarray(gram.lipschitz)
+    step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
+    threshold = step * lam * weights
+    r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
+    x, g_x = x0, -block.adjoint(r_start)
+    c = gram.apply(x) - g_x
+    f_best, pen_x = f_start, penalty(x)
+    trace = [f_best]
+    y, g_y = x, g_x
+    t_mom = 1.0
+    n_iter = 0
+    converged = False
+    last_check = -25
+    for it in range(1, opts.max_inner + 1):
+        n_iter = it
+        cand = soft_threshold(y - step * g_y, threshold)
+        g_cand = gram.apply(cand) - c
+        pen_cand = penalty(cand)
+        delta = 0.5 * float(np.vdot(cand - x, g_cand + g_x)) + pen_cand - pen_x
+        if not np.isfinite(delta):
+            raise DivergenceError(f"component fit diverged for block {block.name!r}")
+        accepted = delta <= 0
+        if accepted:
+            x_new, g_new, pen_new, f_new = cand, g_cand, pen_cand, f_best + delta
+        else:
+            x_new, g_new, pen_new, f_new = x, g_x, pen_x, f_best
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2)) / 2.0
+        a, b = t_mom / t_new, (t_mom - 1.0) / t_new
+        y = x_new + a * (cand - x_new) + b * (x_new - x)
+        g_y = g_new + a * (g_cand - g_new) + b * (g_new - g_x)
+        rel = abs(f_best - f_new) / max(1.0, abs(f_best))
+        x, g_x, pen_x, f_best, t_mom = x_new, g_new, pen_new, f_new, t_new
+        trace.append(f_best)
+        if (rel < opts.tol_inner and (accepted or lam > 0)
+                and it - last_check >= 25):
+            last_check = it
+            if certificate(x, g_x)[1]:
+                converged = True
+                break
+    resid, objective = _weighted_residual(block, target, x, lam, weights)
+    if objective > f_start:
+        x, resid, objective, converged = x0, r_start, f_start, False
+    kkt = certificate(x, -block.adjoint(resid))
+    return ComponentFit(x, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt,
+                        int(np.size(x)))
 
 
 def naive_degree_maps(beta, basis, eps):

@@ -283,6 +283,54 @@ class TestGram:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def working_sets(rng, block):
+    """Sorted coordinate sets of ``block``: all, a random half, one
+    coordinate, none, and for a stacked block one that spans both parts and
+    one inside each part alone."""
+    n = int(np.prod(block.coef_shape))
+    sets = [np.arange(n), np.sort(rng.choice(n, max(1, n // 2), replace=False)),
+            rng.integers(n, size=1), np.array([], dtype=int)]
+    parts = getattr(block, "blocks", None)
+    if parts:
+        bounds = np.cumsum([0] + [int(np.prod(b.coef_shape)) for b in parts])
+        inside = [np.sort(rng.choice(np.arange(lo, hi), max(1, (hi - lo) // 2), replace=False))
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        sets += [np.concatenate(inside)] + inside
+    return sets
+
+
+class TestRestrictedGram:
+    def test_restriction_matches_explicit_normal_matrix(self, rng, monkeypatch):
+        # G[W, W] in both forms: dense from the factors (when the Gram
+        # stores at least |W|^2 entries) and the Kronecker apply between a
+        # scatter and a gather (forced here by the Gram's stored size)
+        for _ in range(3):
+            _, _, _, design = tiny_instance(rng)
+            for block, dense in block_cases(rng, design):
+                gram = block.gram()
+                normal = dense.T @ weigh_rows(dense, block.omega)
+                tol = 1e-12 * np.abs(normal).max()
+                for index in working_sets(rng, block):
+                    want = normal[np.ix_(index, index)]
+                    got = gram.submatrix(index)
+                    assert got.shape == want.shape, block.name
+                    assert np.abs(got - want).max(initial=0.0) <= tol, (block.name, index)
+                    v = rng.standard_normal(index.size)
+                    for size in (-1, index.size ** 2):
+                        monkeypatch.setattr(gram, "size", size)
+                        got = gram.restrict(index)(v)
+                        assert got.shape == (index.size,)
+                        assert np.abs(got - want @ v).max(initial=0.0) <= \
+                            tol * max(1.0, np.abs(v).sum()), (block.name, index, size)
+                    monkeypatch.undo()
+                    # a dense form never holds more entries than the Gram
+                    held = getattr(gram.restrict(index), "__self__", None)
+                    if isinstance(held, np.ndarray):
+                        assert held.size <= gram.size, block.name
+                    else:
+                        assert index.size ** 2 > gram.size, block.name
+
+
 class TestDesignBlocks:
     def test_with_omega_builds_its_own_blocks_and_keeps_the_originals(self, rng):
         _, _, _, design = tiny_instance(rng)
