@@ -242,6 +242,7 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             "precision_converged": mrce.precision.converged,
             "precision_dual_gap": float(mrce.precision.dual_gap),
             "precision_sweeps": int(mrce.precision.n_sweeps),
+            "precision_solves": int(mrce.precision.n_solves),
             "first_round": build_report(mrce.first, basis, grid),
         }
     if truth is not None:

@@ -290,11 +290,14 @@ class _Gram(_GramBase):
         arr = np.reshape(coef, self.kron_shape, order="F")
         return rho_chain(self.factors, arr).reshape(self.coef_shape, order="F")
 
-    def submatrix(self, index):
+    def submatrix(self, index, out=None):
         """Dense ``G[W, W]``: entry ``(i, j)`` is the product over the
-        factors of their entries at the modes of ``i`` and ``j``."""
+        factors of their entries at the modes of ``i`` and ``j``.  Written
+        into ``out`` (a ``|W| x |W|`` array or view) when given."""
         modes = np.unravel_index(np.asarray(index, dtype=np.intp), self.kron_shape, order="F")
-        out = self.factors[0][np.ix_(modes[0], modes[0])]
+        if out is None:
+            out = np.empty((len(index), len(index)))
+        out[...] = self.factors[0][np.ix_(modes[0], modes[0])]
         for factor, mode in zip(self.factors[1:], modes[1:]):
             out *= factor[np.ix_(mode, mode)]
         return out
@@ -371,10 +374,10 @@ class _StackedGram(_GramBase):
         left, right = index[:split], index[split:] - len(self.cross)
         top, bottom = self.grams
         out = np.empty((index.size, index.size))
-        out[:split, :split] = top.submatrix(left)
+        top.submatrix(left, out=out[:split, :split])
         out[:split, split:] = self.cross[np.ix_(left, right)]
         out[split:, :split] = out[:split, split:].T
-        out[split:, split:] = bottom.submatrix(right)
+        bottom.submatrix(right, out=out[split:, split:])
         return out
 
 

@@ -3,11 +3,17 @@
 Minimizes ``tr(S Omega) - log det(Omega) + nu * ||Omega||_1,off`` over
 positive definite matrices by block coordinate descent on the working
 covariance ``W`` (Friedman, Hastie & Tibshirani 2008).  Column ``j``
-solves the lasso ``min 0.5 b'Wb - b's_j + nu |b|_1`` (``b_j = 0``) by
-cyclic coordinate descent over its non-zero coefficients, then one
-vectorized KKT pass ``r = s_j - Wb`` admits every zero with ``|r| > nu``
-and the descent repeats; a zero with ``|r| <= nu`` is one a full cyclic
-pass would leave at zero.  ``Wb`` is written back into row and column
+solves the lasso ``min 0.5 b'Wb - b's_j + nu |b|_1`` (``b_j = 0``)
+exactly on an active set ``A`` by sign-fixed linear solves: every active
+coefficient gets a sign (a non-zero warm start keeps its own, a coordinate
+just admitted takes the sign of its residual ``s_j - Wb``), and one solve
+``W[A, A] b = s_A - nu sign`` whose result carries those signs is the
+minimizer on ``A``.  A wrong guess hands over to feature-sign search from
+the current point (Lee, Battle, Raina & Ng 2007): a line search over the
+sign changes on the segment toward the solve, the zeros dropped, then the
+worst zero violator of ``A`` activated one at a time.  One vectorized KKT
+pass ``r = s_j - Wb`` then admits every zero with ``|r| > nu`` and the
+column is solved again.  ``Wb`` is written back into row and column
 ``j``, the coefficients warm-start the next sweep, and the duality gap of
 the recovered precision matrix stops the loop.  Only off-diagonal entries
 are penalized, so large ``nu`` shrinks the estimate to ``diag(1 / S_ii)``.
@@ -30,6 +36,7 @@ class PrecisionEstimate:
     dual_gap: float
     n_sweeps: int
     objective_trace: np.ndarray = None
+    n_solves: int = 0
 
 
 def ridge_repair(s):
@@ -52,10 +59,21 @@ def matrix_sqrt_psd(a, floor_rel=1e-10):
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
+def _logdet(a):
+    """``log det a`` of a symmetric matrix, ``None`` unless it is positive
+    definite (a determinant's sign misses an even number of negative
+    eigenvalues, a Cholesky factor does not)."""
+    try:
+        return 2.0 * np.log(np.diag(np.linalg.cholesky(a))).sum()
+    except np.linalg.LinAlgError:
+        return None
+
+
 def glasso_objective(s, omega, nu):
-    """Penalized negative Gaussian log-likelihood (up to constants)."""
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
+    """Penalized negative Gaussian log-likelihood (up to constants); ``inf``
+    unless ``omega`` is positive definite."""
+    logdet = _logdet(omega)
+    if logdet is None:
         return np.inf
     off = np.abs(omega).sum() - np.abs(np.diag(omega)).sum()
     return float(np.sum(s * omega) - logdet + nu * off)
@@ -64,24 +82,81 @@ def glasso_objective(s, omega, nu):
 def _dual_gap(s, omega, w_dual, nu):
     # A dual-feasible w (diag equal to diag(s), off-diagonals within nu of
     # s) gives the lower bound logdet(w) + D on the primal optimum.  The
-    # working covariance is feasible only up to the inner tolerance, so it
-    # is clipped into the box first; the gap left below zero is rounding.
-    sign, logdet = np.linalg.slogdet(np.clip(w_dual, s - nu, s + nu))
-    if sign <= 0:
+    # working covariance is feasible only up to rounding (or less, when a
+    # column exhausts its solve budget), so it is clipped into the box
+    # first; the gap left below zero is rounding.
+    logdet = _logdet(np.clip(w_dual, s - nu, s + nu))
+    if logdet is None:
         return np.inf
     return max(glasso_objective(s, omega, nu) - logdet - omega.shape[0], 0.0)
 
 
-def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
-                    max_inner=1000):
+def _line_search(v, c, x, z, nu):
+    """Best point of the segment from ``x`` toward ``z`` for the lasso
+    ``0.5 x'vx - c'x + nu |x|_1``, among ``z`` and the points where a
+    coefficient changes sign; ``None`` if none is lower than ``x``."""
+    d = z - x
+    cross = x * z < 0  # only here can x + t d reach zero for t in (0, 1)
+    t = np.append(x[cross] / (x[cross] - z[cross]), 1.0)
+    gain = (t * ((v @ x - c) @ d) + 0.5 * t * t * (d @ v @ d)
+            + nu * (np.abs(x + t[:, None] * d).sum(axis=1) - np.abs(x).sum()))
+    k = int(np.argmin(gain))
+    if gain[k] >= 0:
+        return None
+    if k == t.size - 1:
+        return z
+    out = x + t[k] * d
+    out[np.flatnonzero(cross)[t[:-1] == t[k]]] = 0.0
+    return out
+
+
+def _column_lasso(v, c, x, sign, nu, budget):
+    """Solve ``min 0.5 x'vx - c'x + nu |x|_1`` in place by feature-sign
+    search, with at most ``budget`` linear solves.
+
+    ``sign`` is the guess: its non-zero entries are the active
+    coordinates, and each active ``x_i`` is zero or has that sign.  Returns
+    the solves made and whether ``x`` is the minimizer.
+    """
+    solves = 0
+    while solves < budget:
+        act = np.flatnonzero(sign)
+        if act.size:
+            v_act = v if act.size == sign.size else v[np.ix_(act, act)]
+            z = np.linalg.solve(v_act, c[act] - nu * sign[act])
+            solves += 1
+            if (np.sign(z) != sign[act]).any():
+                step = _line_search(v_act, c[act], x[act], z, nu)
+                if step is not None:
+                    x[act] = step
+                elif solves > 1:
+                    # past the caller's guess the segment descends, unless
+                    # W[A, A] is not positive definite (or at rounding level)
+                    break
+                sign[:] = np.sign(x)
+                continue
+            x[act] = z
+            if act.size == sign.size:  # no zero left to activate
+                return solves, True
+        r = c - v @ x
+        excess = np.where(sign == 0, np.abs(r) - nu, 0.0)
+        i = int(np.argmax(excess))
+        if excess[i] <= 0:
+            return solves, True
+        sign[i] = np.sign(r[i])
+    return solves, False
+
+
+def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
     """Penalized precision estimate from a covariance matrix.
 
     ``s`` must be finite and symmetric (a small asymmetry is averaged
     away, larger ones raise); an indefinite input is ridge-repaired first.
-    ``max_inner`` caps the coordinate-descent passes of one column lasso,
-    summed over its admission rounds.  Exits when the duality gap drops
-    below ``gap_tol``; a result that exhausts ``max_sweeps`` is flagged as
-    not converged.
+    ``max_inner`` caps the linear solves of one column lasso, summed over
+    its admission rounds; ``n_solves`` counts those of the whole call.
+    Exits when the duality gap drops below ``gap_tol``; an estimate that
+    is not positive definite has no finite gap, and a result that exhausts
+    ``max_sweeps`` is flagged as not converged.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -113,42 +188,39 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
     converged = False
     gap = np.inf
     sweep = 0
+    n_solves = 0
     trace = []
     for sweep in range(1, max_sweeps + 1):
         for j in range(d):
             beta = betas[j]
-            act = np.flatnonzero(beta)
-            passes = 0
+            sign = np.sign(beta)
+            solves = 0
             while True:
-                v = w[np.ix_(act, act)]
-                s12 = s[act, j]
-                b = beta[act]
-                while act.size and passes < max_inner:
-                    passes += 1
-                    delta = 0.0
-                    for q in range(act.size):
-                        r = s12[q] - v[q] @ b + v[q, q] * b[q]
-                        new = np.sign(r) * max(abs(r) - nu, 0.0) / v[q, q]
-                        delta = max(delta, abs(new - b[q]))
-                        b[q] = new
-                    if delta <= inner_tol:
-                        break
-                beta[act] = b
+                act = np.flatnonzero(sign)
+                solved = True
+                if act.size:
+                    b, sg = beta[act], sign[act]
+                    n, solved = _column_lasso(w[np.ix_(act, act)], s[act, j], b, sg, nu,
+                                              max_inner - solves)
+                    solves += n
+                    beta[act] = b
                 w12 = w @ beta  # KKT pass over every coordinate
-                viol = (np.abs(s[:, j] - w12) > nu) & (beta == 0)
+                r = s[:, j] - w12
+                viol = (np.abs(r) > nu) & (beta == 0)
                 viol[j] = False
-                if passes >= max_inner or not viol.any():
+                if not solved or not viol.any():
                     break
-                act = np.flatnonzero((beta != 0) | viol)
+                sign = np.sign(beta)
+                sign[viol] = np.sign(r[viol])
+            n_solves += solves
             w12[j] = w[j, j]
             w[:, j] = w12
             w[j, :] = w12
         # Recover the precision matrix from the column solutions; the
-        # soft-threshold zeros in beta give exact zeros in omega.
-        for j in range(d):
-            diag = 1.0 / (w[j, j] - w[:, j] @ betas[j])
-            omega[:, j] = -betas[j] * diag
-            omega[j, j] = diag
+        # exact zeros in betas give exact zeros in omega.
+        diag = 1.0 / (np.diag(w) - np.einsum("ij,ji->i", betas, w))
+        omega = -betas.T * diag
+        omega[np.diag_indices(d)] = diag
         omega = (omega + omega.T) / 2.0
         trace.append(glasso_objective(s, omega, nu))
         gap = _dual_gap(s, omega, w, nu)
@@ -156,4 +228,4 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
             converged = True
             break
     return PrecisionEstimate(omega, int(np.count_nonzero(omega)), converged, gap, sweep,
-                             np.asarray(trace))
+                             np.asarray(trace), n_solves)

@@ -313,6 +313,7 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
         if grown.size > active.size:
             x, y = (_scatter(v, np.searchsorted(grown, active), grown.size) for v in (x, y))
             active = grown
+            op = None  # drop the old restriction before the grown one is built
             op, c_w, step_w, threshold_w, lam_w = restrict(active)
             g_x, g_y = g_full[active], op(y) - c_w
 

@@ -462,6 +462,7 @@ class TestConvergenceWarnings:
         report = json.loads((out / "report.json").read_text())
         mrce = report["mrce"]
         assert mrce["precision_sweeps"] >= 1
+        assert isinstance(mrce["precision_solves"], int) and mrce["precision_solves"] >= 0
         if mrce["precision_converged"]:
             assert 0 <= mrce["precision_dual_gap"] <= 1e-6
         rounds = {"lambda index": report, "first-round lambda index": mrce["first_round"]}

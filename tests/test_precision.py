@@ -80,6 +80,23 @@ class TestGraphicalLasso:
             nu = float(loc.uniform(0.01, 0.5)) * np.abs(s - np.diag(np.diag(s))).max()
             assert graphical_lasso(s, nu).dual_gap >= 0.0, seed
 
+    def test_converged_estimate_is_positive_definite(self):
+        # rank-deficient inputs at a tiny penalty can drive the working
+        # covariance indefinite; such a sweep must not certify
+        for seed in range(30):
+            s = random_spd(np.random.default_rng(seed), 6, n=2)
+            for frac in (0.001, 0.005):
+                nu = frac * np.abs(s - np.diag(np.diag(s))).max()
+                est = graphical_lasso(s, nu, max_sweeps=50)
+                if est.converged:
+                    assert np.linalg.eigvalsh(est.omega).min() > 0, (seed, frac)
+
+    def test_solve_count(self, rng):
+        s = random_spd(rng, 6)
+        assert graphical_lasso(s, 10 * np.abs(s).max()).n_solves == 0
+        est = graphical_lasso(s, 0.02 * np.abs(s).max(), max_inner=1, max_sweeps=3)
+        assert 0 < est.n_solves <= 6 * est.n_sweeps
+
     def test_output_symmetric_positive_definite(self, rng):
         s = random_spd(rng, 5)
         est = graphical_lasso(s, 0.05)
@@ -167,7 +184,45 @@ class TestActiveSetMatchesFullSweeps:
         self.assert_same_fit(s, 0.05 * np.abs(s).max())
 
 
+class TestExactSolvesMatchFullSweeps:
+    """The sign-fixed column solves and their feature-sign fallback against
+    full cyclic passes, on inputs that exercise each."""
+
+    def test_dense_smooth_kernel_d36(self):
+        # a small penalty leaves most of each column active, so every
+        # column lasso is one large solve
+        grid = Grid(n_x=6, n_y=6, n_steps=10, n_lags=1, dt=0.05,
+                    x_range=(0, 6), y_range=(0, 6))
+        factor = build_noise_covariance(gaussian_covariance(0.75, 0.5), grid).factor
+        z = factor @ np.random.default_rng(0).standard_normal((36, 120))
+        s = z @ z.T / 120
+        nu = 0.01 * np.abs(s).max()
+        TestActiveSetMatchesFullSweeps.assert_same_fit(s, nu)
+        off = ~np.eye(36, dtype=bool)
+        assert (graphical_lasso(s, nu).omega[off] != 0).mean() > 0.6
+
+    def test_wrong_first_sign_guess(self):
+        # column 0 admits both coordinates, guessing the signs of s[1:, 0];
+        # the strong correlation between them flips the second in the
+        # solve, where the lasso keeps it at zero
+        s = np.array([[1.0, 0.5, 0.3],
+                      [0.5, 1.0, 0.9],
+                      [0.3, 0.9, 1.0]])
+        nu = 0.1
+        w11 = 0.95 * s[1:, 1:] + 0.05 * np.diag(np.diag(s[1:, 1:]))
+        guess = np.sign(s[1:, 0])
+        first = np.linalg.solve(w11, s[1:, 0] - nu * guess)
+        assert not np.array_equal(np.sign(first), guess)
+        TestActiveSetMatchesFullSweeps.assert_same_fit(s, nu)
+
+
 class TestHelpers:
+    def test_objective_infinite_off_positive_definite(self):
+        # two negative eigenvalues give a positive determinant
+        s = np.eye(3)
+        assert glasso_objective(s, np.diag([1.0, -1.0, -1.0]), 0.1) == np.inf
+        assert glasso_objective(s, np.diag([1.0, 2.0, 4.0]), 0.1) == pytest.approx(7 - np.log(8))
+
     def test_ridge_repair_floors_spectrum(self, rng):
         a = rng.standard_normal((4, 2))
         s = a @ a.T  # singular
