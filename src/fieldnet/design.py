@@ -48,7 +48,7 @@ from .bases import DriftCoefficients
 from .errors import ShapeError
 
 
-def compute_convolution_tensor(data, basis, n_lags=None):
+def compute_convolution_tensor(data, basis):
     """Rows of basis-weighted lagged sums, shape ``(M, p_x * p_y * p_l)``.
 
     Row ``k`` contracts the ``n_lags`` frames before frame ``k`` with the
@@ -57,9 +57,8 @@ def compute_convolution_tensor(data, basis, n_lags=None):
     window, vectorized column-major.
     """
     grid = basis.grid
-    n_lags = grid.n_lags if n_lags is None else int(n_lags)
+    n_lags, n_steps = grid.n_lags, grid.n_steps
     data = np.asarray(data, dtype=np.float64)
-    n_steps = grid.n_steps
     if data.ndim != 3 or data.shape[:2] != (grid.n_x, grid.n_y):
         raise ShapeError(f"data has shape {data.shape}, expected ({grid.n_x}, {grid.n_y}, frames)")
     if data.shape[2] < n_steps + n_lags:
@@ -181,9 +180,9 @@ class _KronBlock(_Block):
     Hadamard multiplier, acting on a coefficient array.
 
     Coefficient modes beyond the last factor are folded (column-major) into
-    that factor's mode.  A multiplier with more modes than the factor chain
-    repeats the chain's output along its trailing modes; the adjoint sums
-    over them.
+    that factor's mode.  A multiplier adds the frame mode: the chain's
+    output is repeated over the frames and multiplied by it, and the
+    adjoint sums over the frames.
     """
 
     def __init__(self, name, factors, coef_shape, multiplier=None, omega=None):
@@ -193,22 +192,19 @@ class _KronBlock(_Block):
         last = len(self.factors) - 1
         self.kron_shape = self.coef_shape[:last] + (math.prod(self.coef_shape[last:]),)
         self.multiplier = multiplier
-        self._repeat = 0 if multiplier is None else multiplier.ndim - len(self.factors)
         self.omega = omega
 
     def predict(self, coef):
         arr = np.asarray(coef, dtype=np.float64).reshape(self.kron_shape, order="F")
         out = rho_chain(self.factors, arr)
         if self.multiplier is not None:
-            out = out.reshape(out.shape + (1,) * self._repeat) * self.multiplier
+            out = out[..., None] * self.multiplier
         return out
 
     def adjoint(self, fieldarr):
         arr = fieldarr
         if self.multiplier is not None:
-            arr = arr * self.multiplier
-            if self._repeat:
-                arr = arr.sum(axis=tuple(range(-self._repeat, 0)))
+            arr = (arr * self.multiplier).sum(axis=-1)
         out = rho_transposed_chain(self.factors, arr)
         return out.reshape(self.coef_shape, order="F")
 
@@ -219,23 +215,19 @@ class _KronBlock(_Block):
         return np.kron(self.factors[1], self.factors[0])
 
     def _build_gram(self):
-        """Without Omega or a multiplier the Gram is the Kronecker product
-        of the factors' own Grams.  Omega and the multiplier couple the two spatial
-        factors, so those are folded into ``S`` and enter as ``S^T (Omega o
-        V V^T) S``, with ``V`` the multiplier as a ``(D, M)`` matrix (a
-        multiplier repeats a spatial-only chain over the frames), followed
-        by the other factors' Grams.
+        """The spatial pair enters as one matrix: the Gram is ``S^T (Omega o
+        V V^T) S``, with ``V`` the multiplier as a ``(D, M)`` matrix,
+        followed by the other factors' own Grams.  Without ``Omega`` the
+        weight is ``I o V V^T``; without a multiplier it is ``Omega``; with
+        neither the first factor is ``S^T S``.
         """
-        if self.omega is None and self.multiplier is None:
-            return _Gram([f.T @ f for f in self.factors], self.coef_shape, self.kron_shape)
         spatial = self.spatial()
-        weight = np.eye(spatial.shape[0]) if self.omega is None else self.omega
+        weight = self.omega
         if self.multiplier is not None:
             v = self.multiplier.reshape(spatial.shape[0], -1, order="F")
-            weight = weight * (v @ v.T)
-        factors = [spatial.T @ weight @ spatial] + [f.T @ f for f in self.factors[2:]]
-        kron_shape = (math.prod(self.kron_shape[:2]),) + self.kron_shape[2:]
-        return _Gram(factors, self.coef_shape, kron_shape)
+            weight = (np.eye(len(v)) if weight is None else weight) * (v @ v.T)
+        head = spatial.T @ spatial if weight is None else spatial.T @ weight @ spatial
+        return _Gram([head] + [f.T @ f for f in self.factors[2:]], self.coef_shape)
 
 
 class _GramBase:
@@ -266,17 +258,19 @@ class _GramBase:
 class _Gram(_GramBase):
     """A block's normal operator as a Kronecker product of small symmetric
     factors, applied by mode products: its size depends on the basis
-    dimensions only, not on the frame or pixel count.
+    dimensions only, not on the frame or pixel count.  The factors are
+    square, so their orders are the Kronecker shape, into which the
+    coefficients of ``coef_shape`` fold column-major.
 
     ``lipschitz`` is its largest eigenvalue, the product of the factors'
     top eigenvalues; ``diagonal`` (coefficient-shaped) the product of the
     factors' diagonals.
     """
 
-    def __init__(self, factors, coef_shape, kron_shape):
+    def __init__(self, factors, coef_shape):
         self.factors = factors
         self.coef_shape = coef_shape
-        self.kron_shape = kron_shape
+        self.kron_shape = tuple(len(f) for f in factors)
         self.n_coef = math.prod(coef_shape)
         self.size = sum(f.size for f in factors)
         self.lipschitz = float(np.prod([np.linalg.eigvalsh(f)[-1] for f in factors]))

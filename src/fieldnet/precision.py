@@ -79,16 +79,16 @@ def glasso_objective(s, omega, nu):
     return float(np.sum(s * omega) - logdet + nu * off)
 
 
-def _dual_gap(s, omega, w_dual, nu):
-    # A dual-feasible w (diag equal to diag(s), off-diagonals within nu of
-    # s) gives the lower bound logdet(w) + D on the primal optimum.  The
+def _dual_gap(objective, s, w_dual, nu):
+    # ``objective`` minus the lower bound logdet(w) + D that a dual-feasible
+    # w (diag equal to diag(s), off-diagonals within nu of s) gives.  The
     # working covariance is feasible only up to rounding (or less, when a
     # column exhausts its solve budget), so it is clipped into the box
     # first; the gap left below zero is rounding.
     logdet = _logdet(np.clip(w_dual, s - nu, s + nu))
     if logdet is None:
         return np.inf
-    return max(glasso_objective(s, omega, nu) - logdet - omega.shape[0], 0.0)
+    return max(objective - logdet - s.shape[0], 0.0)
 
 
 def _line_search(v, c, x, z, nu):
@@ -154,9 +154,13 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
     away, larger ones raise); an indefinite input is ridge-repaired first.
     ``max_inner`` caps the linear solves of one column lasso, summed over
     its admission rounds; ``n_solves`` counts those of the whole call.
-    Exits when the duality gap drops below ``gap_tol``; an estimate that
-    is not positive definite has no finite gap, and a result that exhausts
-    ``max_sweeps`` is flagged as not converged.
+    The working covariance starts at ``S - t offdiag(S)``, ``t = min(0.05,
+    nu / max_(i != j) |S_ij|)``: a convex combination of ``S`` and its
+    diagonal inside the dual box, so positive definite and feasible even
+    for a rank-deficient ``S``.  Exits when the duality gap drops below
+    ``gap_tol``; an estimate that is not positive definite has no finite
+    gap, and a result that exhausts ``max_sweeps`` is flagged as not
+    converged.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -174,13 +178,14 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
     if nu == 0:
         omega = np.linalg.inv(s)
         omega = (omega + omega.T) / 2.0
-        gap = _dual_gap(s, omega, s, 0.0)
-        trace = np.array([glasso_objective(s, omega, 0.0)])
-        return PrecisionEstimate(omega, int(np.count_nonzero(omega)), True, gap, 0, trace)
+        objective = glasso_objective(s, omega, 0.0)
+        return PrecisionEstimate(omega, int(np.count_nonzero(omega)), True,
+                                 _dual_gap(objective, s, s, 0.0), 0, np.array([objective]))
 
-    w = s.copy()
     off_mask = ~np.eye(d, dtype=bool)
-    w[off_mask] *= 0.95  # keeps the working covariance safely PD
+    top = np.abs(s[off_mask]).max(initial=0.0)
+    w = s.copy()
+    w[off_mask] *= 1 - (min(0.05, nu / top) if top > 0 else 0.05)
     # Row j holds column j's lasso coefficients, with betas[j, j] = 0.
     betas = np.zeros((d, d))
 
@@ -223,7 +228,7 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
         omega[np.diag_indices(d)] = diag
         omega = (omega + omega.T) / 2.0
         trace.append(glasso_objective(s, omega, nu))
-        gap = _dual_gap(s, omega, w, nu)
+        gap = _dual_gap(trace[-1], s, w, nu)
         if gap <= gap_tol:
             converged = True
             break

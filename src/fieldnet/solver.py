@@ -147,11 +147,11 @@ def power_lipschitz(block, iterations=60, seed=0):
     return est
 
 
-def kkt_residual(grad_f, coef, lam, weights, tol_factor=KKT_TOL_FACTOR):
+def kkt_residual(grad_f, coef, lam, weights):
     """Stationarity residual and pass flag for the weighted-lasso optimum.
 
     Non-zero entries must satisfy ``|g + lam w sign(theta)| <= tol * lam``;
-    zero entries ``|g| <= lam w (1 + tol)``.
+    zero entries ``|g| <= lam w (1 + tol)``, with ``tol = KKT_TOL_FACTOR``.
     """
     grad_f = np.asarray(grad_f)
     coef = np.asarray(coef)
@@ -162,11 +162,11 @@ def kkt_residual(grad_f, coef, lam, weights, tol_factor=KKT_TOL_FACTOR):
     if nz.any():
         r1 = float(np.abs(grad_f[nz] + lam * weights[nz] * np.sign(coef[nz])).max())
         resid = max(resid, r1)
-        ok = ok and r1 <= tol_factor * lam
+        ok = ok and r1 <= KKT_TOL_FACTOR * lam
     if (~nz).any():
         excess = np.abs(grad_f[~nz]) - lam * weights[~nz]
         resid = max(resid, max(0.0, float(excess.max())))
-        ok = ok and bool((np.abs(grad_f[~nz]) <= lam * weights[~nz] * (1 + tol_factor)).all())
+        ok = ok and bool((np.abs(grad_f[~nz]) <= lam * weights[~nz] * (1 + KKT_TOL_FACTOR)).all())
     return resid, ok
 
 

@@ -133,17 +133,19 @@ class WeightDensity:
     n_excluded: int
 
 
-def weight_density(beta, basis, delay_edges=None, value_bins=40, eps=None):
+DENSITY_VALUE_BINS = 40
+
+
+def weight_density(beta, basis, eps=None):
     """Histogram of the non-negligible evaluated weights by delay.
 
     Evaluates the weight at every grid x lag node, drops values with
     ``|w| <= eps`` (the truncation that removes the mass at zero), and
-    bins the remainder jointly by delay and value.
+    bins the remainder jointly by lag interval and into
+    ``DENSITY_VALUE_BINS`` equal value bins.
     """
     grid = basis.grid
-    if delay_edges is None:
-        delay_edges = np.arange(-grid.n_lags, 1) * grid.dt
-    delay_edges = np.asarray(delay_edges, dtype=np.float64)
+    delay_edges = np.arange(-grid.n_lags, 1) * grid.dt
     w5 = evaluate_network_grid(beta, basis)
     if eps is None:
         eps = default_epsilon(w5)
@@ -151,10 +153,8 @@ def weight_density(beta, basis, delay_edges=None, value_bins=40, eps=None):
     keep = np.abs(w5) > eps
     values = w5[keep]
     delays = np.broadcast_to(lag_nodes, w5.shape)[keep]
-    if values.size:
-        value_edges = np.linspace(values.min(), values.max(), value_bins + 1)
-    else:
-        value_edges = np.linspace(-1.0, 1.0, value_bins + 1)
+    value_range = (values.min(), values.max()) if values.size else (-1.0, 1.0)
+    value_edges = np.linspace(*value_range, DENSITY_VALUE_BINS + 1)
     counts, _, _ = np.histogram2d(delays, values, bins=[delay_edges, value_edges])
     return WeightDensity(
         delay_edges=delay_edges,

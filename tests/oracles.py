@@ -169,20 +169,22 @@ def dual_glasso_objective(s, nu, **kw):
     return glasso_objective(s, dual_glasso(s, nu, **kw), nu)
 
 
-def full_sweep_glasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-10,
+def full_sweep_glasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-13,
                       max_inner=1000):
     """Column-by-column graphical lasso whose inner lasso is a full cyclic
     coordinate-descent pass over all D - 1 coordinates of every column.
 
-    Same warm starts, 0.95 start, precision recovery and duality-gap stop
-    as the library, so it must reach the same sweep count and support.
-    Returns ``(omega, n_sweeps, dual_gap)``.
+    Same warm starts, start ``S - t offdiag(S)``, precision recovery and
+    duality-gap stop as the library, so it must reach the same sweep count
+    and support.  Its passes stop far below the 1e-9 agreement the tests
+    check.  Returns ``(omega, n_sweeps, dual_gap)``.
     """
     s = ridge_repair(np.asarray(s, dtype=float))
     d = s.shape[0]
     w = s.copy()
     off = ~np.eye(d, dtype=bool)
-    w[off] *= 0.95
+    top = np.abs(s[off]).max(initial=0.0)
+    w[off] *= 1 - (min(0.05, nu / top) if top > 0 else 0.05)
     betas = np.zeros((d, d - 1))
     idx = [np.array([i for i in range(d) if i != j]) for j in range(d)]
     omega = np.eye(d)

@@ -330,6 +330,31 @@ class TestRestrictedGram:
                     else:
                         assert index.size ** 2 > gram.size, block.name
 
+    def test_one_factor_grams_restrict_densely(self, rng):
+        # quickstart's 3x3 spatial basis: the eta, memory and zeta Grams are
+        # one dense factor each, so every working set gathers G[W, W]
+        grid = Grid(n_x=6, n_y=6, n_steps=12, n_lags=3, dt=0.05,
+                    x_range=(0.0, 6.0), y_range=(0.0, 6.0))
+        basis = build_basis_set(
+            grid,
+            uniform_bspline_spec(0, 3, *grid.x_range),
+            uniform_bspline_spec(0, 3, *grid.y_range),
+            uniform_bspline_spec(2, 4, 0.0, grid.duration),
+            uniform_bspline_spec(1, 2, -grid.tau, 0.0),
+        )
+        design = build_design(rng.standard_normal((6, 6, grid.n_frames)), basis)
+        for block, dense in block_cases(rng, design):
+            if block.name not in ("stimulus-eta", "memory", "stimulus-zeta"):
+                continue
+            gram = block.gram()
+            normal = dense.T @ weigh_rows(dense, block.omega)
+            tol = 1e-12 * np.abs(normal).max()
+            for k in range(1, len(normal) + 1):
+                index = np.sort(rng.choice(len(normal), k, replace=False))
+                held = getattr(gram.restrict(index), "__self__", None)
+                assert isinstance(held, np.ndarray), (block.name, block.omega is None, k)
+                assert np.abs(held - normal[np.ix_(index, index)]).max() <= tol, (block.name, k)
+
 
 class TestDesignBlocks:
     def test_with_omega_builds_its_own_blocks_and_keeps_the_originals(self, rng):

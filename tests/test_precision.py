@@ -91,6 +91,27 @@ class TestGraphicalLasso:
                 if est.converged:
                     assert np.linalg.eigvalsh(est.omega).min() > 0, (seed, frac)
 
+    @pytest.mark.parametrize("seed, frac", [(4, 0.002), (34, 0.002), (108, 0.005), (151, 0.005)])
+    def test_rank_deficient_input_at_small_penalty(self, seed, frac):
+        # nu < 0.05 max|s_ij| on rank-deficient inputs: a start outside the
+        # dual box lets these overflow or meet a singular W[A, A]
+        s = random_spd(np.random.default_rng(seed), 21, n=11)
+        off = ~np.eye(21, dtype=bool)
+        nu = frac * np.abs(s[off]).max()
+        est = graphical_lasso(s, nu, gap_tol=1e-10)
+        assert est.converged
+        np.linalg.cholesky(est.omega)
+        assert est.dual_gap <= 1e-10
+        w = np.linalg.inv(est.omega)
+        kkt = np.abs(np.diag(w) - np.diag(s)).max()
+        nz = (est.omega != 0) & off
+        if nz.any():
+            kkt = max(kkt, np.abs(w - s - nu * np.sign(est.omega))[nz].max())
+        ze = (est.omega == 0) & off
+        if ze.any():
+            kkt = max(kkt, (np.abs(w - s) - nu)[ze].max())
+        assert kkt <= 1e-3 * nu
+
     def test_solve_count(self, rng):
         s = random_spd(rng, 6)
         assert graphical_lasso(s, 10 * np.abs(s).max()).n_solves == 0
@@ -196,10 +217,11 @@ class TestExactSolvesMatchFullSweeps:
         factor = build_noise_covariance(gaussian_covariance(0.75, 0.5), grid).factor
         z = factor @ np.random.default_rng(0).standard_normal((36, 120))
         s = z @ z.T / 120
-        nu = 0.01 * np.abs(s).max()
-        TestActiveSetMatchesFullSweeps.assert_same_fit(s, nu)
         off = ~np.eye(36, dtype=bool)
-        assert (graphical_lasso(s, nu).omega[off] != 0).mean() > 0.6
+        for frac in (0.01, 0.002):
+            nu = frac * np.abs(s).max()
+            TestActiveSetMatchesFullSweeps.assert_same_fit(s, nu)
+            assert (graphical_lasso(s, nu).omega[off] != 0).mean() > 0.6
 
     def test_wrong_first_sign_guess(self):
         # column 0 admits both coordinates, guessing the signs of s[1:, 0];
