@@ -218,15 +218,21 @@ class _KronBlock(_Block):
         """The spatial pair enters as one matrix: the Gram is ``S^T (Omega o
         V V^T) S``, with ``V`` the multiplier as a ``(D, M)`` matrix,
         followed by the other factors' own Grams.  Without ``Omega`` the
-        weight is ``I o V V^T``; without a multiplier it is ``Omega``; with
-        neither the first factor is ``S^T S``.
+        weight ``I o V V^T`` is diagonal, kept as the vector ``sum_k
+        v_k^2``; without a multiplier it is ``Omega``; with neither the
+        first factor is ``S^T S``.
         """
         spatial = self.spatial()
         weight = self.omega
         if self.multiplier is not None:
             v = self.multiplier.reshape(spatial.shape[0], -1, order="F")
-            weight = (np.eye(len(v)) if weight is None else weight) * (v @ v.T)
-        head = spatial.T @ spatial if weight is None else spatial.T @ weight @ spatial
+            weight = (v * v).sum(axis=1) if weight is None else weight * (v @ v.T)
+        if weight is None:
+            head = spatial.T @ spatial
+        elif weight.ndim == 1:
+            head = (spatial.T * weight) @ spatial
+        else:
+            head = spatial.T @ weight @ spatial
         return _Gram([head] + [f.T @ f for f in self.factors[2:]], self.coef_shape)
 
 

@@ -17,6 +17,10 @@ column is solved again.  ``Wb`` is written back into row and column
 ``j``, the coefficients warm-start the next sweep, and the duality gap of
 the recovered precision matrix stops the loop.  Only off-diagonal entries
 are penalized, so large ``nu`` shrinks the estimate to ``diag(1 / S_ii)``.
+
+The kernel, :func:`_column_lasso`, takes a scalar or per-coordinate
+penalty and is the package's one dense-lasso solver: the rank-one stimulus
+factors of ``solver.fit_factor`` use it too.
 """
 
 from __future__ import annotations
@@ -93,13 +97,17 @@ def _dual_gap(objective, s, w_dual, nu):
 
 def _line_search(v, c, x, z, nu):
     """Best point of the segment from ``x`` toward ``z`` for the lasso
-    ``0.5 x'vx - c'x + nu |x|_1``, among ``z`` and the points where a
-    coefficient changes sign; ``None`` if none is lower than ``x``."""
+    ``0.5 x'vx - c'x + sum_i nu_i |x_i|``, among ``z`` and the points where
+    a penalized coefficient changes sign; ``None`` if none is lower than
+    ``x``.  ``nu`` is a scalar or per-coordinate."""
     d = z - x
-    cross = x * z < 0  # only here can x + t d reach zero for t in (0, 1)
+    # only here can x + t d reach a kink of the penalty for t in (0, 1)
+    cross = (x * z < 0) & (nu > 0)
     t = np.append(x[cross] / (x[cross] - z[cross]), 1.0)
-    gain = (t * ((v @ x - c) @ d) + 0.5 * t * t * (d @ v @ d)
-            + nu * (np.abs(x + t[:, None] * d).sum(axis=1) - np.abs(x).sum()))
+    seg = np.abs(x + t[:, None] * d)
+    penalty = (nu * (seg.sum(axis=1) - np.abs(x).sum()) if np.ndim(nu) == 0
+               else seg @ nu - np.abs(x) @ nu)
+    gain = t * ((v @ x - c) @ d) + 0.5 * t * t * (d @ v @ d) + penalty
     k = int(np.argmin(gain))
     if gain[k] >= 0:
         return None
@@ -111,22 +119,28 @@ def _line_search(v, c, x, z, nu):
 
 
 def _column_lasso(v, c, x, sign, nu, budget):
-    """Solve ``min 0.5 x'vx - c'x + nu |x|_1`` in place by feature-sign
-    search, with at most ``budget`` linear solves.
+    """Solve ``min 0.5 x'vx - c'x + sum_i nu_i |x_i|`` in place by
+    feature-sign search, with at most ``budget`` linear solves.
 
+    ``v`` is dense and symmetric positive definite on the active set.
+    ``nu`` is a scalar or a vector of per-coordinate penalties ``>= 0``; a
+    zero entry leaves its coordinate unpenalized, so its sign is free.
     ``sign`` is the guess: its non-zero entries are the active
-    coordinates, and each active ``x_i`` is zero or has that sign.  Returns
-    the solves made and whether ``x`` is the minimizer.
+    coordinates, and each active penalized ``x_i`` is zero or has that
+    sign.  Returns the solves made and whether ``x`` is the minimizer.  A
+    singular ``v[A, A]`` raises ``LinAlgError`` with ``x`` at the last point
+    reached, which is no higher than the start.
     """
     solves = 0
     while solves < budget:
         act = np.flatnonzero(sign)
         if act.size:
             v_act = v if act.size == sign.size else v[np.ix_(act, act)]
-            z = np.linalg.solve(v_act, c[act] - nu * sign[act])
+            nu_act = nu if np.ndim(nu) == 0 else nu[act]
+            z = np.linalg.solve(v_act, c[act] - nu_act * sign[act])
             solves += 1
-            if (np.sign(z) != sign[act]).any():
-                step = _line_search(v_act, c[act], x[act], z, nu)
+            if ((np.sign(z) != sign[act]) & (nu_act > 0)).any():
+                step = _line_search(v_act, c[act], x[act], z, nu_act)
                 if step is not None:
                     x[act] = step
                 elif solves > 1:

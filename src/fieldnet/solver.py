@@ -9,15 +9,19 @@ over the stacked coefficient blocks, without forming the design matrix.
 A block relaxation sweep makes two sub-solves against partial residuals:
 the stimulus under a rank-one constraint (spatially modulated common
 temporal signal), then the propagation and memory blocks as one lasso on
-their stacked design.  Each lasso runs a monotone accelerated proximal
-gradient method with the step ``1 / L`` (``L`` a block's exact Lipschitz
-constant; for the stacked pair, twice each part's own constant on that
-part's coordinates), so the full penalized objective is non-increasing
-across every sub-solve.  The iterations run on the block's small Gram
-operator ``X^T Omega X`` restricted to a working set of coordinates, which
-periodic full-gradient KKT checks grow (see :func:`fit_component`); the
-data are touched only when a sub-solve starts and returns, where the
-objective and the KKT certificate are evaluated exactly in residual form.
+their stacked design.  The stimulus alternates two small lassos, one per
+factor, each on a Gram that is one dense matrix; they are solved exactly
+by sign-fixed linear solves with feature-sign search, the kernel the
+graphical lasso's column solves use (see :func:`fit_factor`).  The joint
+lasso runs a monotone accelerated proximal gradient method with the step
+``1 / L`` (twice each part's exact Lipschitz constant on that part's
+coordinates), iterated on the block's small Gram operator ``X^T Omega X``
+restricted to a working set of coordinates, which periodic full-gradient
+KKT checks grow (see :func:`fit_component`).  No sub-solve returns a
+point above its warm start, so the full penalized objective is
+non-increasing across every sub-solve.  The data are touched only when a
+sub-solve starts and returns, where the objective and the KKT certificate
+are evaluated exactly in residual form.
 The precision ``Omega`` belongs to the design: the solver takes its
 blocks, and their Grams, from ``design.blocks`` and never applies
 ``Omega`` itself.
@@ -35,7 +39,7 @@ import numpy as np
 from .bases import DriftCoefficients
 from .design import _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
 from .errors import DivergenceError
-from .precision import graphical_lasso
+from .precision import _column_lasso, graphical_lasso
 
 
 def soft_threshold(value, threshold):
@@ -170,6 +174,16 @@ def kkt_residual(grad_f, coef, lam, weights):
     return resid, ok
 
 
+def _certificate(theta, grad, lam, weights):
+    """KKT residual and pass flag of a block fit at ``theta`` from the
+    loss gradient there; with no penalty there is no KKT test, and the
+    residual is the gradient size."""
+    if lam == 0:
+        return float(np.abs(grad).max()), True
+    return kkt_residual(np.ravel(grad, order="F"), np.ravel(theta, order="F"), lam,
+                        np.ravel(weights, order="F"))
+
+
 def _scatter(values, index, size):
     """A length-``size`` vector holding ``values`` at ``index``, zero elsewhere."""
     out = np.zeros(size)
@@ -234,12 +248,6 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     gram = block.gram()
     w = np.ravel(weights, order="F")
 
-    def certificate(theta, grad):
-        # with no penalty there is no KKT test: report the gradient size
-        if lam == 0:
-            return float(np.abs(grad).max()), True
-        return kkt_residual(np.ravel(grad, order="F"), np.ravel(theta, order="F"), lam, w)
-
     lip = np.asarray(gram.lipschitz)
     if lip.max() <= 1e-300:
         # Zero design: every penalized entry is optimal at zero.
@@ -259,7 +267,7 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     c = np.ravel(gram.apply(x0), order="F") - g_full
     active = np.flatnonzero((x_full != 0) | (w == 0) | (np.abs(g_full) > lam * w))
     if active.size == 0:
-        kkt = certificate(x0, g_full)
+        kkt = _certificate(x0, g_full, lam, w)
         return ComponentFit(x0, f_start, np.array([f_start]), 0, kkt[1], *kkt, 0)
 
     def restrict(index):
@@ -304,7 +312,7 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
         # penalty a rejected step also counts as a stall.  Without one
         # there is no KKT test, and only an accepted stall converges.
         if (rel < opts.tol_inner and (accepted or lam > 0)
-                and certificate(x_full, g_full)[1]):
+                and _certificate(x_full, g_full, lam, w)[1]):
             converged = True
             break
         grown = np.abs(g_full) > lam * w
@@ -322,9 +330,51 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     if objective > f_start:
         # rounding in the Gram form lost the descent: keep the warm start
         coef, resid, objective, converged = x0, r_start, f_start, False
-    kkt = certificate(coef, -block.adjoint(resid))
+    kkt = _certificate(coef, -block.adjoint(resid), lam, w)
     return ComponentFit(coef, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt,
                         int(active.size))
+
+
+def fit_factor(block, target, lam, weights, warm, options=None):
+    """Weighted-lasso fit of a block whose Gram is one dense factor ``V``,
+    as each factor block of the rank-one stimulus has: solved exactly by
+    the graphical lasso's feature-sign kernel.
+
+    The lasso is ``min 1/2 x^T V x - c^T x + lam sum_i w_i |x_i|`` with
+    ``c = X^T Omega target``.  It starts from ``warm``, whose signs are the
+    first guess, and makes at most ``max_inner`` linear solves, which
+    ``n_iter`` counts.  A singular ``V[A, A]`` hands the fit to
+    :func:`fit_component` from the point reached; ``n_iter`` then counts
+    its iterations.  As there, the objective is evaluated in residual form
+    on return, a result above the warm-start objective returns the warm
+    start, and the KKT certificate is exact at the returned coefficients.
+    """
+    opts = options or SolverOptions()
+    shape = block.coef_shape
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
+    x0 = np.array(warm, dtype=np.float64).reshape(shape)
+    r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
+    if not np.isfinite(f_start):
+        raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
+    x = x0.flatten(order="F")
+    sign = np.sign(x)
+    c = np.ravel(block.weighted_adjoint(target), order="F")
+    v, nu = block.gram().factors[0], lam * np.ravel(weights, order="F")
+    try:
+        n_iter, solved = _column_lasso(v, c, x, sign, nu, opts.max_inner)
+    except np.linalg.LinAlgError:
+        fit = fit_component(block, target, lam, weights, x.reshape(shape, order="F"), opts)
+        coef, n_iter, solved = fit.coef, fit.n_iter, fit.converged
+    else:
+        coef = x.reshape(shape, order="F")
+    resid, objective = _weighted_residual(block, target, coef, lam, weights)
+    if not objective <= f_start:
+        # rounding, or a nearly singular V[A, A]: the warm start is at least
+        # as good, and a solved fit still converges if it passes the KKT test
+        coef, resid, objective = x0, r_start, f_start
+    kkt = _certificate(coef, -block.adjoint(resid), lam, weights)
+    return ComponentFit(coef, objective, np.array([f_start, objective]), n_iter,
+                        solved and kkt[1], *kkt, int(np.count_nonzero(sign)))
 
 
 def standardized_weights(design):
@@ -392,7 +442,10 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     step fits the spatial field to ``sum_k g_k T_k / |g|^2`` (``g = phi_t
     zeta``) on one frame; the zeta step fits the time profile to ``c_k =
     <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
-    Both factor blocks, and their Grams, are the design's own.
+    Both factor blocks, and their Grams, are the design's own.  Each step
+    is solved exactly by :func:`fit_factor` from the previous factor, so
+    ``n_iter`` counts linear solves (plus the iterations of any fit handed
+    to :func:`fit_component` on a singular Gram block).
     Alternation makes the joint objective non-increasing.  It stops once
     that objective stalls (``tol_rank1``) at stationary factors, whose
     rank-one KKT residual is at most ``KKT_TOL_FACTOR * lam``.  Returns a
@@ -443,8 +496,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             collapsed = True
             break
         w_eta = np.einsum("ijk,k->ij", weights, np.abs(zeta))
-        fit_e = fit_component(space, (target @ profile) / scale, lam / scale, w_eta,
-                              warm=eta, options=opts)
+        fit_e = fit_factor(space, (target @ profile) / scale, lam / scale, w_eta, eta, opts)
         eta = fit_e.coef
         total_iter += fit_e.n_iter
         field = space.predict(eta)
@@ -455,8 +507,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             break
         w_zeta = np.einsum("ijk,ij->k", weights, np.abs(eta))
         contracted = np.einsum("ij,ijk->k", weighted_field, target) / scale
-        fit_z = fit_component(times, contracted, lam / scale, w_zeta, warm=zeta,
-                              options=opts)
+        fit_z = fit_factor(times, contracted, lam / scale, w_zeta, zeta, opts)
         zeta = fit_z.coef
         total_iter += fit_z.n_iter
         if not zeta.any():

@@ -4,6 +4,8 @@ Everything here is deliberately naive (dense matrices, explicit loops,
 brute quadrature) so it shares no code path with the library it checks.
 """
 
+import itertools
+
 import numpy as np
 
 from fieldnet.arrays import vec
@@ -286,6 +288,30 @@ def full_width_fit_component(block, target, lam, weights, warm=None, options=Non
     kkt = certificate(x, -block.adjoint(resid))
     return ComponentFit(x, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt,
                         int(np.size(x)))
+
+
+def brute_force_lasso(v, c, nu):
+    """Minimizer of ``0.5 x'vx - c'x + sum_i nu_i |x_i|`` for a small SPD
+    ``v``: every support and every sign pattern of its penalized
+    coordinates solved exactly, the best sign-consistent solution kept."""
+    n = len(c)
+    nu = np.broadcast_to(nu, (n,))
+    best, best_obj = np.zeros(n), 0.0
+    for mask in itertools.product((False, True), repeat=n):
+        support = np.flatnonzero(mask)
+        penalized = support[nu[support] > 0]
+        for signs in itertools.product((-1.0, 1.0), repeat=penalized.size):
+            sign = np.zeros(n)
+            sign[penalized] = signs
+            x = np.zeros(n)
+            x[support] = np.linalg.solve(v[np.ix_(support, support)],
+                                         c[support] - nu[support] * sign[support])
+            if (x[penalized] * sign[penalized] < 0).any():
+                continue
+            obj = 0.5 * x @ v @ x - c @ x + nu @ np.abs(x)
+            if obj < best_obj:
+                best, best_obj = x, obj
+    return best
 
 
 def naive_degree_maps(beta, basis, eps):

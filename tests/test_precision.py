@@ -4,12 +4,13 @@ import pytest
 from fieldnet import Grid, build_noise_covariance, gaussian_covariance
 from fieldnet.errors import FieldnetError, ShapeError
 from fieldnet.precision import (
+    _column_lasso,
     glasso_objective,
     graphical_lasso,
     matrix_sqrt_psd,
     ridge_repair,
 )
-from oracles import dual_glasso, full_sweep_glasso
+from oracles import brute_force_lasso, dual_glasso, full_sweep_glasso
 
 
 def random_spd(rng, d, n=8):
@@ -236,6 +237,41 @@ class TestExactSolvesMatchFullSweeps:
         first = np.linalg.solve(w11, s[1:, 0] - nu * guess)
         assert not np.array_equal(np.sign(first), guess)
         TestActiveSetMatchesFullSweeps.assert_same_fit(s, nu)
+
+
+class TestFeatureSignKernel:
+    """The dense-lasso kernel that the column solves and the rank-one
+    stimulus factors share, against enumeration of supports and signs."""
+
+    def test_per_coordinate_penalties_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        for case in range(60):
+            n = 1 + case % 6
+            root = rng.standard_normal((n, n + 2))
+            v = root @ root.T / (n + 2) + 0.05 * np.eye(n)
+            c = rng.standard_normal(n)
+            nu = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)  # zeros unpenalized
+            want = brute_force_lasso(v, c, nu)
+            # a warm start with every non-zero sign of the minimizer wrong
+            x = np.where(want != 0, -np.sign(want), 1.0) * rng.uniform(0.1, 1.0, n)
+            solves, solved = _column_lasso(v, c, x, np.sign(x), nu, 100)
+            assert solved and solves <= 100, case
+            assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), case
+            assert np.array_equal(x != 0, want != 0), case
+
+    def test_scalar_penalty_equals_constant_vector(self):
+        rng = np.random.default_rng(6)
+        for case in range(30):
+            n = 1 + case % 6
+            v = random_spd(rng, n, n + 2) + 0.05 * np.eye(n)
+            c = rng.standard_normal(n)
+            start = rng.standard_normal(n) * (rng.random(n) < 0.5)
+            nu = rng.uniform(0.05, 1.0)
+            scalar, vector = start.copy(), start.copy()
+            assert (_column_lasso(v, c, scalar, np.sign(start), nu, 100)
+                    == _column_lasso(v, c, vector, np.sign(start), np.full(n, nu), 100))
+            assert np.array_equal(scalar, vector), case
+            assert np.abs(scalar - brute_force_lasso(v, c, nu)).max() <= 1e-10, case
 
 
 class TestHelpers:

@@ -25,12 +25,14 @@ from fieldnet import (
     white_covariance,
 )
 from fieldnet import design as design_module
+from fieldnet import solver as solver_module
 from fieldnet.arrays import vec
 from fieldnet.solver import (
     KKT_CHECK_EVERY,
     KKT_TOL_FACTOR,
     _KronBlock,
     fit_component,
+    fit_factor,
     fit_penalized,
     kkt_residual,
     network_block,
@@ -314,6 +316,78 @@ class TestReducedRank:
                 else:
                     assert fit.kkt_residual > 0
         assert collapsed == 2
+
+
+class TestFactorFits:
+    """The rank-one factor steps: exact feature-sign solves on the factor
+    block's one dense Gram factor, with the proximal-gradient fit as the
+    fallback for a singular active block."""
+
+    def test_singular_gram_falls_back_to_proximal_gradient(self, monkeypatch):
+        loc = np.random.default_rng(8)
+        a = loc.standard_normal(30)
+        y = 2.0 * a + 0.3 * loc.standard_normal(30)
+        block = _KronBlock("toy", [np.c_[a, a]], (2,))  # Gram [[s, s], [s, s]]
+        handed = []
+
+        def spy(*args, **kwargs):
+            handed.append(args[4].copy())
+            return fit_component(*args, **kwargs)
+        monkeypatch.setattr(solver_module, "fit_component", spy)
+        lam = 0.2 * float(np.abs(a @ y))
+        warm = np.array([1.5, -0.5])
+        fit = fit_factor(block, y, lam, np.ones(2), warm)
+        assert len(handed) == 1 and np.array_equal(handed[0], warm)
+        start = 0.5 * float(np.sum((y - a * warm.sum()) ** 2)) + lam * np.abs(warm).sum()
+        assert np.isfinite(fit.objective) and fit.objective <= start
+        assert monotone(fit.trace)
+        resid = y - a * fit.coef.sum()
+        assert abs(fit.objective - 0.5 * resid @ resid - lam * np.abs(fit.coef).sum()) \
+            <= 1e-12 * fit.objective
+        want, ok = kkt_residual(-np.array([a @ resid, a @ resid]), fit.coef, lam, np.ones(2))
+        assert abs(fit.kkt_residual - want) <= 1e-12 * lam
+        assert fit.kkt_ok == ok and ok
+
+    def test_each_factor_fit_is_exact_and_alternation_descends(self, rng, monkeypatch):
+        grid, basis, design = rank1_instance(rng)
+        fits, joint = [], []
+
+        def recording_fit(block, target, lam, weights, warm, options=None):
+            fit = fit_factor(block, target, lam, weights, warm, options)
+            fits.append((block, target, lam, weights, fit))
+            return fit
+
+        def recording_residual(block, target, theta, lam, weights):
+            out = _weighted_residual(block, target, theta, lam, weights)
+            if block.name == "stimulus":
+                joint.append(out[1])
+            return out
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("a factor fit left the feature-sign kernel")
+
+        _weighted_residual = solver_module._weighted_residual
+        monkeypatch.setattr(solver_module, "fit_factor", recording_fit)
+        monkeypatch.setattr(solver_module, "_weighted_residual", recording_residual)
+        monkeypatch.setattr(solver_module, "fit_component", no_fallback)
+        shape = (basis.p_x, basis.p_y, basis.p_t)
+        for case in (design, design.with_omega(random_precision(rng, grid.n_pixels))):
+            weights = 0.5 + rng.random(shape)
+            top = stimulus_lambda_max(case, weights)
+            for factor in (0.3, 0.05):
+                fits.clear()
+                joint.clear()
+                rank1 = fit_reduced_rank_stimulus(case, case.target, factor * top, weights)
+                assert not rank1.collapsed
+                assert len(fits) == 2 * rank1.n_alternations
+                assert rank1.n_iter == sum(fit.n_iter for *_, fit in fits)
+                for block, target, lam, w, fit in fits:
+                    grad = -block.weighted_adjoint(target - block.predict(fit.coef))
+                    resid, ok = kkt_residual(grad, fit.coef, lam, w)
+                    assert ok and resid <= KKT_TOL_FACTOR * lam, (block.name, resid / lam)
+                    assert fit.converged
+                assert len(joint) == rank1.n_alternations + 1
+                assert monotone(joint), np.diff(joint)
 
 
 class TestBlockRelaxation:
