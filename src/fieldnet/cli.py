@@ -248,7 +248,8 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     if truth is not None:
         scores = [support_scores(f.coeffs.beta, truth) for f in result.fits]
         report["support_scores"] = scores
-        best = max(range(len(scores)), key=lambda i: scores[i]["recall"] - scores[i]["false_positive_rate"])
+        # the level that summarize uses by default
+        best = report["best_index"]
         print(
             f"support recovery at lambda index {best}: "
             f"recall {scores[best]['recall']:.3f}, "

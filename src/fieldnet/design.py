@@ -23,11 +23,10 @@ kron Omega) X`` in factored form, built on first use and kept, whose size
 depends on the basis dimensions only: a Kronecker product of small factor
 Grams per block (Currie, Durban & Eilers 2006), plus a dense
 network-memory cross term for the joint block.  Building it costs one
-pass over the data.  The solver iterates on a Gram's restriction to a
-working set of coordinates, ``restrict(W)``: the dense ``G[W, W]``
-gathered from the factors while it holds no more entries than the Gram
-itself, the full apply between a scatter and a gather otherwise.  Its
-periodic KKT checks, which grow the working set, use the full ``apply``.
+pass over the data.  The solver solves on a Gram's restriction to a
+working set of coordinates, the dense ``submatrix(W)`` gathered from the
+factors, and admits coordinates into the working set from the gradient of
+one full ``apply``.
 
 The response for modeled frame ``k`` is observation frame ``k + 1``.  The
 lagged frame ``k`` enters as a fixed offset, so the regression target is
@@ -236,50 +235,19 @@ class _KronBlock(_Block):
         return _Gram([head] + [f.T @ f for f in self.factors[2:]], self.coef_shape)
 
 
-class _GramBase:
-    """What both Gram forms share: the restriction to a working set.
-
-    ``size`` counts the entries the Gram stores, ``n_coef`` its
-    coordinates; the subclass supplies ``apply`` and ``submatrix``.
-    """
-
-    def restrict(self, index):
-        """``G[W, W]`` as a function on W-vectors, for sorted flat
-        (column-major) coordinate indices ``index``.  It is the dense
-        ``submatrix`` while that holds no more entries than the Gram
-        stores, and otherwise the full apply between a scatter into and a
-        gather from a full-length vector.
-        """
-        index = np.asarray(index, dtype=np.intp)
-        if index.size ** 2 <= self.size:
-            return self.submatrix(index).__matmul__
-
-        def apply(vector):
-            full = np.zeros(self.n_coef)
-            full[index] = vector
-            return np.ravel(self.apply(full), order="F")[index]
-        return apply
-
-
-class _Gram(_GramBase):
+class _Gram:
     """A block's normal operator as a Kronecker product of small symmetric
     factors, applied by mode products: its size depends on the basis
     dimensions only, not on the frame or pixel count.  The factors are
     square, so their orders are the Kronecker shape, into which the
-    coefficients of ``coef_shape`` fold column-major.
-
-    ``lipschitz`` is its largest eigenvalue, the product of the factors'
-    top eigenvalues; ``diagonal`` (coefficient-shaped) the product of the
-    factors' diagonals.
+    coefficients of ``coef_shape`` fold column-major.  ``diagonal``
+    (coefficient-shaped) is the product of the factors' diagonals.
     """
 
     def __init__(self, factors, coef_shape):
         self.factors = factors
         self.coef_shape = coef_shape
         self.kron_shape = tuple(len(f) for f in factors)
-        self.n_coef = math.prod(coef_shape)
-        self.size = sum(f.size for f in factors)
-        self.lipschitz = float(np.prod([np.linalg.eigvalsh(f)[-1] for f in factors]))
 
     @property
     def diagonal(self):
@@ -291,9 +259,10 @@ class _Gram(_GramBase):
         return rho_chain(self.factors, arr).reshape(self.coef_shape, order="F")
 
     def submatrix(self, index, out=None):
-        """Dense ``G[W, W]``: entry ``(i, j)`` is the product over the
-        factors of their entries at the modes of ``i`` and ``j``.  Written
-        into ``out`` (a ``|W| x |W|`` array or view) when given."""
+        """Dense ``G[W, W]`` for sorted flat (column-major) coordinate
+        indices ``index``: entry ``(i, j)`` is the product over the factors
+        of their entries at the modes of ``i`` and ``j``.  Written into
+        ``out`` (a ``|W| x |W|`` array or view) when given."""
         modes = np.unravel_index(np.asarray(index, dtype=np.intp), self.kron_shape, order="F")
         if out is None:
             out = np.empty((len(index), len(index)))
@@ -337,23 +306,15 @@ class _StackedBlock(_Block):
         return _StackedGram([network.gram(), memory.gram()], _cross_gram(network, memory))
 
 
-class _StackedGram(_GramBase):
+class _StackedGram:
     """Normal operator of ``[X_1 X_2]``: the parts' Grams on the diagonal
     and the dense cross term ``C = X_1^T (I_M kron Omega) X_2`` off it.
-
-    ``lipschitz`` holds per-coordinate constants: ``2 L_b`` on the
-    coordinates of part ``b``, with ``L_b`` its exact constant.  They
-    majorize the stacked normal operator, because ``X^T X <= 2 diag(X_1^T
-    X_1, X_2^T X_2)`` for ``X = [X_1 X_2]``.  ``diagonal`` is the parts'
-    diagonals, stacked.
+    ``diagonal`` is the parts' diagonals, stacked.
     """
 
     def __init__(self, grams, cross):
         self.grams = grams
         self.cross = cross
-        self.lipschitz = np.repeat([2 * g.lipschitz for g in grams], cross.shape)
-        self.n_coef = sum(cross.shape)
-        self.size = sum(g.size for g in grams) + cross.size
 
     @property
     def diagonal(self):

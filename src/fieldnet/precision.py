@@ -19,8 +19,8 @@ the recovered precision matrix stops the loop.  Only off-diagonal entries
 are penalized, so large ``nu`` shrinks the estimate to ``diag(1 / S_ii)``.
 
 The kernel, :func:`_column_lasso`, takes a scalar or per-coordinate
-penalty and is the package's one dense-lasso solver: the rank-one stimulus
-factors of ``solver.fit_factor`` use it too.
+penalty and is the package's one lasso solver: ``solver.fit_component``
+runs every drift sub-fit with it, on a working set of coordinates.
 """
 
 from __future__ import annotations

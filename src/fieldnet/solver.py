@@ -10,16 +10,13 @@ A block relaxation sweep makes two sub-solves against partial residuals:
 the stimulus under a rank-one constraint (spatially modulated common
 temporal signal), then the propagation and memory blocks as one lasso on
 their stacked design.  The stimulus alternates two small lassos, one per
-factor, each on a Gram that is one dense matrix; they are solved exactly
-by sign-fixed linear solves with feature-sign search, the kernel the
-graphical lasso's column solves use (see :func:`fit_factor`).  The joint
-lasso runs a monotone accelerated proximal gradient method with the step
-``1 / L`` (twice each part's exact Lipschitz constant on that part's
-coordinates), iterated on the block's small Gram operator ``X^T Omega X``
-restricted to a working set of coordinates, which periodic full-gradient
-KKT checks grow (see :func:`fit_component`).  No sub-solve returns a
-point above its warm start, so the full penalized objective is
-non-increasing across every sub-solve.  The data are touched only when a
+factor.  Every lasso sub-fit is solved exactly by one function,
+:func:`fit_component`: sign-fixed linear solves with feature-sign search,
+the kernel the graphical lasso's column solves use, on the block's small
+Gram ``X^T Omega X`` restricted to a working set of coordinates that the
+worst KKT violators grow.  No sub-solve returns a point above its warm
+start, so the full penalized objective is non-increasing across every
+sub-solve.  The data are touched only when a
 sub-solve starts and returns, where the objective and the KKT certificate
 are evaluated exactly in residual form.
 The precision ``Omega`` belongs to the design: the solver takes its
@@ -59,10 +56,10 @@ class SolverOptions:
     max_rank1: int = 50
 
 
-# Iterations between full-gradient KKT checks of a working-set fit.
-KKT_CHECK_EVERY = 10
 # KKT pass tolerance, relative to the penalty level.
 KKT_TOL_FACTOR = 1e-4
+# Ridge on a singular G[W, W], relative to its largest diagonal entry.
+SINGULAR_RIDGE = 1e-13
 
 
 @dataclass
@@ -133,8 +130,8 @@ def _weighted_residual(block, target, theta, lam, weights):
 
 def power_lipschitz(block, iterations=60, seed=0):
     """Power-iteration estimate of the block's largest normal-operator
-    eigenvalue, from below.  A reference for the exact constant the
-    solver reads from ``block.gram().lipschitz``."""
+    eigenvalue, from below.  The solver needs no step size and does not
+    call it; perfbench's tracer names it."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(block.coef_shape)
     norm = np.linalg.norm(v)
@@ -166,7 +163,7 @@ def kkt_residual(grad_f, coef, lam, weights):
     if nz.any():
         r1 = float(np.abs(grad_f[nz] + lam * weights[nz] * np.sign(coef[nz])).max())
         resid = max(resid, r1)
-        ok = ok and r1 <= KKT_TOL_FACTOR * lam
+        ok = ok and bool(r1 <= KKT_TOL_FACTOR * lam)
     if (~nz).any():
         excess = np.abs(grad_f[~nz]) - lam * weights[~nz]
         resid = max(resid, max(0.0, float(excess.max())))
@@ -184,13 +181,6 @@ def _certificate(theta, grad, lam, weights):
                         np.ravel(weights, order="F"))
 
 
-def _scatter(values, index, size):
-    """A length-``size`` vector holding ``values`` at ``index``, zero elsewhere."""
-    out = np.zeros(size)
-    out[index] = values
-    return out
-
-
 @dataclass
 class ComponentFit:
     coef: np.ndarray
@@ -204,41 +194,42 @@ class ComponentFit:
 
 
 def fit_component(block, target, lam, weights, warm=None, options=None):
-    """Weighted-lasso fit of one block by monotone accelerated proximal
-    gradient with the fixed step ``1 / L``, iterated in Gram form on a
-    working set of coordinates.
+    """Exact weighted-lasso fit of one block: feature-sign search on a
+    working set of coordinates that the worst KKT violators grow.
 
     ``target`` is the partial residual the block is fitted against.  The
     loss is ``1/2 theta^T G theta - c^T theta + const``, with ``c = X^T
     Omega target`` and ``G = X^T (I_M kron Omega) X`` the block's
-    ``gram()``, which also carries ``L``: the exact constant, or
-    per-coordinate constants for a stacked block.
+    ``gram()``.
 
     Set-up makes one forward apply, one Omega apply and one adjoint (the
-    exact objective and gradient at the warm start) and one full Gram apply
-    (``c``).  The working set ``W`` starts as the warm start's support, the
-    unpenalized coordinates and every violator ``|g_i| > lam w_i`` of that
-    gradient; when it is empty the warm start is optimal and is returned
-    after no iteration.  An iteration applies ``gram.restrict(W)``, a
-    dense ``G[W, W]`` or a scattered full apply: the extrapolated point's
-    gradient is the same affine combination of the iterates' gradients as
-    the point is of the iterates.  A candidate is accepted on the objective
-    difference ``1/2 d^T (g' + g) + delta_penalty`` (``d`` the step, ``g``
-    and ``g'`` the gradients at its ends), which does not cancel near the
-    optimum; the trace adds these to the warm-start objective.
-
-    Every ``KKT_CHECK_EVERY`` iterations one full Gram apply gives the
-    gradient at every coordinate.  A stalled objective converges if the KKT
-    test passes on it; otherwise its violators join ``W`` at zero, with the
-    momentum kept.
+    exact objective and gradient ``g`` at the warm start) and one full Gram
+    apply (``c = G theta_0 - g``).  The working set ``W`` starts as the warm
+    start's support and the unpenalized coordinates.  Each round admits the
+    ``k`` worst zero violators ``|g_i| > lam w_i (1 + KKT_TOL_FACTOR)`` into
+    ``W`` (``k = max(10, |support|)``, then at least twice the support),
+    solves the lasso on ``W`` exactly with the graphical lasso's
+    feature-sign kernel on the dense ``gram.submatrix(W)``, and makes one
+    full Gram apply for the gradient everywhere; W's zeros then leave it.  A
+    kept coefficient guesses its own sign, an admitted one the sign of
+    ``-g_i``, an unpenalized one ``+1``.  Rounds stop once no coordinate
+    violates after an exact solve, or when the linear solves, which
+    ``n_iter`` counts, reach ``max_inner``; ``tol_inner`` is not read.  A
+    coordinate whose column is zero (Gram diagonal 0) never enters ``W`` and
+    is 0 on return.  Dependent columns make ``G[A, A]`` singular on the
+    active set; that round goes on from the point reached on ``G[W, W]``
+    plus ``SINGULAR_RIDGE`` times its largest diagonal entry, which makes
+    the minimizer unique and moves it by rounding only.  Without a penalty
+    every coordinate is in ``W``, so the dense ``G[W, W]`` spans the whole
+    block.
 
     On return the objective is evaluated in residual form (one forward
     apply, one Omega apply); if it exceeds the warm-start objective, the
-    warm start is returned.  So the returned objective never exceeds the
-    warm-start objective.  The KKT certificate is one adjoint of the
-    returned coefficients' weighted residual, so it is exact there, and a
-    fit reports ``converged`` only if that certificate passes.
-    ``working_set`` is the final (largest) size of ``W``.
+    warm start is returned.  The KKT certificate is one adjoint of the
+    returned coefficients' weighted residual, so it is exact there, and
+    ``converged`` is its pass flag; without a penalty there is no KKT test,
+    and ``converged`` means the last solve was exact.  ``working_set`` is
+    the largest ``|W|``.
     """
     opts = options or SolverOptions()
     shape = block.coef_shape
@@ -246,135 +237,57 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     x0 = (np.zeros(shape) if warm is None
           else np.array(warm, dtype=np.float64).reshape(shape))
     gram = block.gram()
-    w = np.ravel(weights, order="F")
-
-    lip = np.asarray(gram.lipschitz)
-    if lip.max() <= 1e-300:
-        # Zero design: every penalized entry is optimal at zero.
-        coef = np.zeros(shape) if lam > 0 else x0
-        _, obj = _weighted_residual(block, target, coef, lam, weights)
-        return ComponentFit(coef, obj, np.array([obj]), 0, True, 0.0, True, 0)
-
-    # A stacked part with all-zero columns has constant zero and keeps step 0.
-    step = np.broadcast_to(np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300),
-                           w.shape)
-    threshold = step * lam * w
-    r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
-    if not np.isfinite(f_start):
-        raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
-    x_full = np.ravel(x0, order="F")
-    g_full = np.ravel(-block.adjoint(r_start), order="F")
-    c = np.ravel(gram.apply(x0), order="F") - g_full
-    active = np.flatnonzero((x_full != 0) | (w == 0) | (np.abs(g_full) > lam * w))
-    if active.size == 0:
-        kkt = _certificate(x0, g_full, lam, w)
-        return ComponentFit(x0, f_start, np.array([f_start]), 0, kkt[1], *kkt, 0)
-
-    def restrict(index):
-        return gram.restrict(index), c[index], step[index], threshold[index], lam * w[index]
-
-    op, c_w, step_w, threshold_w, lam_w = restrict(active)
-    x, g_x = x_full[active], g_full[active]
-    f_best, pen_x = f_start, float(lam_w @ np.abs(x))
-    trace = [f_best]
-    y, g_y = x, g_x
-    t_mom = 1.0
-    n_iter = 0
-    converged = False
-
-    for it in range(1, opts.max_inner + 1):
-        n_iter = it
-        cand = soft_threshold(y - step_w * g_y, threshold_w)
-        g_cand = op(cand) - c_w
-        pen_cand = float(lam_w @ np.abs(cand))
-        delta = 0.5 * float(np.vdot(cand - x, g_cand + g_x)) + pen_cand - pen_x
-        if not np.isfinite(delta):
-            raise DivergenceError(f"component fit diverged for block {block.name!r}")
-        # Monotone acceleration: keep the incumbent when the accelerated
-        # candidate overshoots, but still extrapolate through it.
-        accepted = delta <= 0
-        if accepted:
-            x_new, g_new, pen_new, f_new = cand, g_cand, pen_cand, f_best + delta
-        else:
-            x_new, g_new, pen_new, f_new = x, g_x, pen_x, f_best
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2)) / 2.0
-        a, b = t_mom / t_new, (t_mom - 1.0) / t_new
-        y = x_new + a * (cand - x_new) + b * (x_new - x)
-        g_y = g_new + a * (g_cand - g_new) + b * (g_new - g_x)
-        rel = abs(f_best - f_new) / max(1.0, abs(f_best))
-        x, g_x, pen_x, f_best, t_mom = x_new, g_new, pen_new, f_new, t_new
-        trace.append(f_best)
-        if it % KKT_CHECK_EVERY:
-            continue
-        x_full = _scatter(x, active, w.size)
-        g_full = np.ravel(gram.apply(x_full), order="F") - c
-        # At an optimum rounding can reject every candidate, so with a
-        # penalty a rejected step also counts as a stall.  Without one
-        # there is no KKT test, and only an accepted stall converges.
-        if (rel < opts.tol_inner and (accepted or lam > 0)
-                and _certificate(x_full, g_full, lam, w)[1]):
-            converged = True
-            break
-        grown = np.abs(g_full) > lam * w
-        grown[active] = True
-        grown = np.flatnonzero(grown)
-        if grown.size > active.size:
-            x, y = (_scatter(v, np.searchsorted(grown, active), grown.size) for v in (x, y))
-            active = grown
-            op = None  # drop the old restriction before the grown one is built
-            op, c_w, step_w, threshold_w, lam_w = restrict(active)
-            g_x, g_y = g_full[active], op(y) - c_w
-
-    coef = _scatter(x, active, w.size).reshape(shape, order="F")
-    resid, objective = _weighted_residual(block, target, coef, lam, weights)
-    if objective > f_start:
-        # rounding in the Gram form lost the descent: keep the warm start
-        coef, resid, objective, converged = x0, r_start, f_start, False
-    kkt = _certificate(coef, -block.adjoint(resid), lam, w)
-    return ComponentFit(coef, objective, np.asarray(trace), n_iter, converged and kkt[1], *kkt,
-                        int(active.size))
-
-
-def fit_factor(block, target, lam, weights, warm, options=None):
-    """Weighted-lasso fit of a block whose Gram is one dense factor ``V``,
-    as each factor block of the rank-one stimulus has: solved exactly by
-    the graphical lasso's feature-sign kernel.
-
-    The lasso is ``min 1/2 x^T V x - c^T x + lam sum_i w_i |x_i|`` with
-    ``c = X^T Omega target``.  It starts from ``warm``, whose signs are the
-    first guess, and makes at most ``max_inner`` linear solves, which
-    ``n_iter`` counts.  A singular ``V[A, A]`` hands the fit to
-    :func:`fit_component` from the point reached; ``n_iter`` then counts
-    its iterations.  As there, the objective is evaluated in residual form
-    on return, a result above the warm-start objective returns the warm
-    start, and the KKT certificate is exact at the returned coefficients.
-    """
-    opts = options or SolverOptions()
-    shape = block.coef_shape
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
-    x0 = np.array(warm, dtype=np.float64).reshape(shape)
     r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
     if not np.isfinite(f_start):
         raise DivergenceError(f"non-finite objective at warm start of {block.name!r}")
     x = x0.flatten(order="F")
-    sign = np.sign(x)
-    c = np.ravel(block.weighted_adjoint(target), order="F")
-    v, nu = block.gram().factors[0], lam * np.ravel(weights, order="F")
-    try:
-        n_iter, solved = _column_lasso(v, c, x, sign, nu, opts.max_inner)
-    except np.linalg.LinAlgError:
-        fit = fit_component(block, target, lam, weights, x.reshape(shape, order="F"), opts)
-        coef, n_iter, solved = fit.coef, fit.n_iter, fit.converged
-    else:
-        coef = x.reshape(shape, order="F")
+    g = np.ravel(-block.adjoint(r_start), order="F")
+    c = np.ravel(gram.apply(x0), order="F") - g
+    nu = lam * np.ravel(weights, order="F")
+    live = np.ravel(gram.diagonal, order="F") > 0
+    free = live & (nu == 0)
+    x[~live] = 0.0
+    k = max(10, np.count_nonzero(x))
+    solves = size = 0
+    solved = False
+    while solves < opts.max_inner:
+        sign = np.sign(x)
+        sign[free & (sign == 0)] = 1.0
+        excess = np.where(live & (sign == 0), np.abs(g) - nu * (1 + KKT_TOL_FACTOR), 0.0)
+        admit = np.flatnonzero(excess > 0)
+        if admit.size > k:
+            admit = admit[np.argpartition(excess[admit], -k)[-k:]]
+        if not admit.size and (solved or not sign.any()):
+            break
+        sign[admit] = -np.sign(g[admit])
+        index = np.flatnonzero(sign)
+        size = max(size, index.size)
+        v, x_w, sign_w, nu_w = gram.submatrix(index), x[index], sign[index], nu[index]
+        budget = opts.max_inner - solves
+        try:
+            n, solved = _column_lasso(v, c[index], x_w, sign_w, nu_w, budget)
+        except np.linalg.LinAlgError:
+            # dependent columns: go on from the point reached with a ridge of
+            # rounding size, which makes the minimizer unique; the failed
+            # solve counts as one
+            v[np.diag_indices_from(v)] += SINGULAR_RIDGE * v.diagonal().max()
+            n, solved = _column_lasso(v, c[index], x_w, sign_w, nu_w, budget - 1)
+            n += 1
+        solves += n
+        x[index] = x_w
+        g = np.ravel(gram.apply(x), order="F") - c
+        if not solved:
+            break
+        k = max(k, 2 * np.count_nonzero(x))
+
+    coef = x.reshape(shape, order="F")
     resid, objective = _weighted_residual(block, target, coef, lam, weights)
     if not objective <= f_start:
-        # rounding, or a nearly singular V[A, A]: the warm start is at least
-        # as good, and a solved fit still converges if it passes the KKT test
-        coef, resid, objective = x0, r_start, f_start
+        # rounding lost the descent: keep the warm start
+        coef, resid, objective, solved = x0, r_start, f_start, False
     kkt = _certificate(coef, -block.adjoint(resid), lam, weights)
-    return ComponentFit(coef, objective, np.array([f_start, objective]), n_iter,
-                        solved and kkt[1], *kkt, int(np.count_nonzero(sign)))
+    return ComponentFit(coef, objective, np.array([f_start, objective]), solves,
+                        kkt[1] if lam > 0 else solved, *kkt, size)
 
 
 def standardized_weights(design):
@@ -443,9 +356,8 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     zeta``) on one frame; the zeta step fits the time profile to ``c_k =
     <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
     Both factor blocks, and their Grams, are the design's own.  Each step
-    is solved exactly by :func:`fit_factor` from the previous factor, so
-    ``n_iter`` counts linear solves (plus the iterations of any fit handed
-    to :func:`fit_component` on a singular Gram block).
+    is solved exactly by :func:`fit_component` from the previous factor, so
+    ``n_iter`` counts linear solves.
     Alternation makes the joint objective non-increasing.  It stops once
     that objective stalls (``tol_rank1``) at stationary factors, whose
     rank-one KKT residual is at most ``KKT_TOL_FACTOR * lam``.  Returns a
@@ -496,7 +408,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             collapsed = True
             break
         w_eta = np.einsum("ijk,k->ij", weights, np.abs(zeta))
-        fit_e = fit_factor(space, (target @ profile) / scale, lam / scale, w_eta, eta, opts)
+        fit_e = fit_component(space, (target @ profile) / scale, lam / scale, w_eta, eta, opts)
         eta = fit_e.coef
         total_iter += fit_e.n_iter
         field = space.predict(eta)
@@ -507,7 +419,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
             break
         w_zeta = np.einsum("ijk,ij->k", weights, np.abs(eta))
         contracted = np.einsum("ij,ijk->k", weighted_field, target) / scale
-        fit_z = fit_factor(times, contracted, lam / scale, w_zeta, zeta, opts)
+        fit_z = fit_component(times, contracted, lam / scale, w_zeta, zeta, opts)
         zeta = fit_z.coef
         total_iter += fit_z.n_iter
         if not zeta.any():
@@ -583,7 +495,10 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None):
     """Block-relaxed fit of all three components at one penalty level.
 
     Each sweep fits the rank-one stimulus, then the network and memory
-    blocks jointly.  ``lam`` may be zero (pure least squares).  ``warm`` is
+    blocks jointly.  The sweeps stop once the full objective stalls
+    (``tol_outer``) in a sweep whose sub-fits all report converged, and
+    only then is ``converged_outer`` set.  ``lam`` may be zero (pure least
+    squares).  ``warm`` is
     an optional ``DriftCoefficients`` whose rank-one factors seed the
     stimulus.
     """
@@ -632,7 +547,9 @@ def fit_penalized(design, lam, penalty_weights=None, options=None, warm=None):
             kkt[name] = fit_nm.kkt_residual
         trace.append(fit_nm.objective + lam * float(np.sum(w_a * np.abs(alpha))))
 
-        if abs(obj_start - trace[-1]) <= opts.tol_outer * max(1.0, abs(obj_start)):
+        # a stalled objective ends the sweeps only over certified sub-fits
+        if (all(converged_blocks.values())
+                and abs(obj_start - trace[-1]) <= opts.tol_outer * max(1.0, abs(obj_start))):
             converged_outer = True
             break
 

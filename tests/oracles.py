@@ -223,11 +223,12 @@ def full_sweep_glasso(s, nu, max_sweeps=500, gap_tol=1e-6, inner_tol=1e-13,
 def full_width_fit_component(block, target, lam, weights, warm=None, options=None):
     """Weighted-lasso fit whose every iteration applies the block's full
     Gram: monotone accelerated proximal gradient with the step ``1 / L``
-    over all coordinates at once.
+    over all coordinates at once, ``L`` the top eigenvalue of the dense
+    normal matrix built column by column from the block's own applies.
 
-    Same set-up, acceptance test and return as the library's working-set
-    fit, so run to the same budget both reach the same optimum.  A stalled
-    objective is tested for convergence at most once every 25 iterations.
+    Same set-up and return as the library's exact working-set fit, so run
+    long enough both reach the same optimum.  A stalled objective is
+    tested for convergence at most once every 25 iterations.
     """
     opts = options or SolverOptions()
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), block.coef_shape)
@@ -243,8 +244,12 @@ def full_width_fit_component(block, target, lam, weights, warm=None, options=Non
             return float(np.abs(grad).max()), True
         return kkt_residual(grad, theta, lam, weights)
 
-    lip = np.asarray(gram.lipschitz)
-    step = np.divide(1.0, lip, out=np.zeros(lip.shape), where=lip > 1e-300)
+    units = np.eye(int(np.prod(block.coef_shape)))
+    normal = np.column_stack([
+        np.ravel(block.weighted_adjoint(block.predict(e.reshape(block.coef_shape, order="F"))),
+                 order="F") for e in units])
+    lip = float(np.linalg.eigvalsh((normal + normal.T) / 2)[-1])
+    step = 1.0 / lip if lip > 1e-300 else 0.0
     threshold = step * lam * weights
     r_start, f_start = _weighted_residual(block, target, x0, lam, weights)
     x, g_x = x0, -block.adjoint(r_start)

@@ -222,6 +222,21 @@ class TestFitAndSummarize:
         stim = (summ / "stimulus.csv").read_text().strip().splitlines()
         assert len(stim) == 1 + grid.n_pixels * grid.n_steps
 
+    def test_recovery_line_reports_the_best_index(self, pipeline, tmp_path, capsys):
+        sim, _, _ = pipeline
+        capsys.readouterr()
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(QUICKSTART), "--data", str(sim / "data.dta1"),
+                     "--out", str(out), "--truth-beta", str(sim / "truth_beta.dta1")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("support recovery at lambda index ")]
+        report = json.loads((out / "report.json").read_text())
+        best = report["best_index"]
+        scored = report["support_scores"][best]
+        assert lines == [f"support recovery at lambda index {best}: "
+                         f"recall {scored['recall']:.3f}, "
+                         f"false positive rate {scored['false_positive_rate']:.3f}"]
+
     def test_reported_support_scores_match_artifacts(self, pipeline):
         from fieldnet.solver import support_scores
 
