@@ -131,10 +131,17 @@ def _lambda_fit_payload(fit):
     }
 
 
-def _warn_unconverged(result, max_sweeps, label="lambda index"):
+def _warn_unconverged(result, opts, label="lambda index"):
+    """Warn of each unconverged level with the last sweep's relative
+    objective change and the blocks whose last sub-fit was not certified."""
     for i, fit in enumerate(result.fits):
         if not fit.converged_outer:
-            print(f"warning: {label} {i} did not converge within max_sweeps = {max_sweeps}",
+            start, end = fit.objective_trace[-3], fit.objective_trace[-1]
+            change = abs(start - end) / max(1.0, abs(start))
+            failed = ", ".join(name for name, ok in fit.converged.items() if not ok) or "none"
+            print(f"warning: {label} {i} did not converge within max_sweeps = "
+                  f"{opts.max_sweeps}: last sweep's relative objective change {change:.3g} "
+                  f"(tol_outer = {opts.tol_outer:g}); uncertified sub-fits: {failed}",
                   file=sys.stderr)
 
 
@@ -220,9 +227,9 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
         _write_manifest(out_dir, "fit", cfg, ["report.json", "manifest.json"])
         raise
     elapsed = time.perf_counter() - started
-    _warn_unconverged(result, opts.max_sweeps)
+    _warn_unconverged(result, opts)
     if mrce is not None:
-        _warn_unconverged(mrce.first, opts.max_sweeps, label="first-round lambda index")
+        _warn_unconverged(mrce.first, opts, label="first-round lambda index")
         if not mrce.precision.converged:
             print(f"warning: graphical lasso did not converge within "
                   f"{mrce.precision.n_sweeps} sweeps (dual gap {mrce.precision.dual_gap:.3g})",

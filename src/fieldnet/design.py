@@ -26,7 +26,9 @@ network-memory cross term for the joint block.  Building it costs one
 pass over the data.  The solver solves on a Gram's restriction to a
 working set of coordinates, the dense ``submatrix(W)`` gathered from the
 factors, and admits coordinates into the working set from the gradient of
-one full ``apply``.
+one full ``apply``.  The rank-one stimulus alternates on the stimulus
+Gram's own two factors, the spatial ``S^T Omega S`` and the temporal
+``phi_t^T phi_t``, so it needs no blocks of its own.
 
 The response for modeled frame ``k`` is observation frame ``k + 1``.  The
 lagged frame ``k`` enters as a fixed offset, so the regression target is
@@ -100,10 +102,10 @@ class ImplicitDesign:
 
     @cached_property
     def blocks(self):
-        """The design's blocks by name, built once: the parts of ``X``, all
-        of ``X`` (``design``), the solver's joint ``network+memory`` block,
-        and the rank-one stimulus's factor blocks.  All carry the design's
-        ``omega`` but ``stimulus-zeta``, which acts on time profiles."""
+        """The design's blocks by name, built once: the parts of ``X``
+        (``stimulus``, ``network``, ``memory``), all of ``X`` (``design``)
+        and the solver's joint ``network+memory`` block.  All carry the
+        design's ``omega``."""
         b, omega = self.basis, self.omega
         shapes = b.coef_shapes
         stimulus = _KronBlock("stimulus", [b.phi_x, b.phi_y, b.phi_t], shapes["stimulus"],
@@ -116,8 +118,6 @@ class ImplicitDesign:
             stimulus, network, memory,
             _StackedBlock("design", [stimulus, network, memory]),
             _StackedBlock("network+memory", [network, memory]),
-            _KronBlock("stimulus-eta", [b.phi_x, b.phi_y], shapes["stimulus"][:-1], omega=omega),
-            _KronBlock("stimulus-zeta", [b.phi_t], shapes["stimulus"][-1:]),
         )
         return {block.name: block for block in blocks}
 

@@ -9,16 +9,17 @@ over the stacked coefficient blocks, without forming the design matrix.
 A block relaxation sweep makes two sub-solves against partial residuals:
 the stimulus under a rank-one constraint (spatially modulated common
 temporal signal), then the propagation and memory blocks as one lasso on
-their stacked design.  The stimulus alternates two small lassos, one per
-factor.  Every lasso sub-fit is solved exactly by one function,
-:func:`fit_component`: sign-fixed linear solves with feature-sign search,
-the kernel the graphical lasso's column solves use, on the block's small
-Gram ``X^T Omega X`` restricted to a working set of coordinates that the
-worst KKT violators grow.  No sub-solve returns a point above its warm
-start, so the full penalized objective is non-increasing across every
-sub-solve.  The data are touched only when a
-sub-solve starts and returns, where the objective and the KKT certificate
-are evaluated exactly in residual form.
+their stacked design.  Every lasso is solved exactly by one kernel,
+:func:`_working_set_lasso`: sign-fixed linear solves with feature-sign
+search, the kernel the graphical lasso's column solves use, on a small
+Gram restricted to a working set of coordinates that the worst KKT
+violators grow.  :func:`fit_component` runs it on a block's Gram ``X^T
+Omega X``; the stimulus alternates two small lassos, one per factor, on
+the stimulus Gram's own two factors (its Gram form, as in Currie, Durban &
+Eilers 2006).  Every solve descends from its warm start, so the full
+penalized objective is non-increasing across every sub-solve.  The data
+are touched only when a sub-solve starts and returns, where the objective
+and the KKT certificate are evaluated exactly in residual form.
 The precision ``Omega`` belongs to the design: the solver takes its
 blocks, and their Grams, from ``design.blocks`` and never applies
 ``Omega`` itself.
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .bases import DriftCoefficients
-from .design import _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
+from .design import _Gram, _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
 from .errors import DivergenceError
 from .precision import _column_lasso, graphical_lasso
 
@@ -154,31 +155,13 @@ def kkt_residual(grad_f, coef, lam, weights):
     Non-zero entries must satisfy ``|g + lam w sign(theta)| <= tol * lam``;
     zero entries ``|g| <= lam w (1 + tol)``, with ``tol = KKT_TOL_FACTOR``.
     """
-    grad_f = np.asarray(grad_f)
-    coef = np.asarray(coef)
+    grad_f, coef = np.asarray(grad_f), np.asarray(coef)
     weights = np.broadcast_to(weights, coef.shape)
     nz = coef != 0
-    resid = 0.0
-    ok = True
-    if nz.any():
-        r1 = float(np.abs(grad_f[nz] + lam * weights[nz] * np.sign(coef[nz])).max())
-        resid = max(resid, r1)
-        ok = ok and bool(r1 <= KKT_TOL_FACTOR * lam)
-    if (~nz).any():
-        excess = np.abs(grad_f[~nz]) - lam * weights[~nz]
-        resid = max(resid, max(0.0, float(excess.max())))
-        ok = ok and bool((np.abs(grad_f[~nz]) <= lam * weights[~nz] * (1 + KKT_TOL_FACTOR)).all())
-    return resid, ok
-
-
-def _certificate(theta, grad, lam, weights):
-    """KKT residual and pass flag of a block fit at ``theta`` from the
-    loss gradient there; with no penalty there is no KKT test, and the
-    residual is the gradient size."""
-    if lam == 0:
-        return float(np.abs(grad).max()), True
-    return kkt_residual(np.ravel(grad, order="F"), np.ravel(theta, order="F"), lam,
-                        np.ravel(weights, order="F"))
+    on = float(np.abs(grad_f[nz] + lam * weights[nz] * np.sign(coef[nz])).max(initial=0.0))
+    off = np.abs(grad_f[~nz])
+    ok = on <= KKT_TOL_FACTOR * lam and (off <= lam * weights[~nz] * (1 + KKT_TOL_FACTOR)).all()
+    return max(on, float((off - lam * weights[~nz]).max(initial=0.0))), bool(ok)
 
 
 @dataclass
@@ -193,43 +176,86 @@ class ComponentFit:
     working_set: int
 
 
-def fit_component(block, target, lam, weights, warm=None, options=None):
-    """Exact weighted-lasso fit of one block: feature-sign search on a
-    working set of coordinates that the worst KKT violators grow.
+def _working_set_lasso(gram, c, x, g, nu, max_inner):
+    """Minimize ``1/2 x^T G x - c^T x + sum_i nu_i |x_i|`` exactly from
+    ``x`` (updated in place), whose gradient ``G x - c`` is ``g``.  ``gram``
+    is ``G`` in factored form; all vectors are flat (column-major).
 
-    ``target`` is the partial residual the block is fitted against.  The
-    loss is ``1/2 theta^T G theta - c^T theta + const``, with ``c = X^T
-    Omega target`` and ``G = X^T (I_M kron Omega) X`` the block's
-    ``gram()``.
-
-    Set-up makes one forward apply, one Omega apply and one adjoint (the
-    exact objective and gradient ``g`` at the warm start) and one full Gram
-    apply (``c = G theta_0 - g``).  The working set ``W`` starts as the warm
-    start's support and the unpenalized coordinates.  Each round admits the
-    ``k`` worst zero violators ``|g_i| > lam w_i (1 + KKT_TOL_FACTOR)`` into
-    ``W`` (``k = max(10, |support|)``, then at least twice the support),
-    solves the lasso on ``W`` exactly with the graphical lasso's
+    The working set ``W`` starts as the support and the unpenalized
+    coordinates.  Each round admits the ``k`` worst zero violators ``|g_i|
+    > nu_i (1 + KKT_TOL_FACTOR)`` (``k = max(10, |support|)``, then at least
+    twice the support), solves on ``W`` exactly with the graphical lasso's
     feature-sign kernel on the dense ``gram.submatrix(W)``, and makes one
-    full Gram apply for the gradient everywhere; W's zeros then leave it.  A
-    kept coefficient guesses its own sign, an admitted one the sign of
-    ``-g_i``, an unpenalized one ``+1``.  Rounds stop once no coordinate
-    violates after an exact solve, or when the linear solves, which
-    ``n_iter`` counts, reach ``max_inner``; ``tol_inner`` is not read.  A
-    coordinate whose column is zero (Gram diagonal 0) never enters ``W`` and
-    is 0 on return.  Dependent columns make ``G[A, A]`` singular on the
-    active set; that round goes on from the point reached on ``G[W, W]``
-    plus ``SINGULAR_RIDGE`` times its largest diagonal entry, which makes
-    the minimizer unique and moves it by rounding only.  Without a penalty
-    every coordinate is in ``W``, so the dense ``G[W, W]`` spans the whole
-    block.
+    full Gram apply for the gradient everywhere; W's zeros then leave it.
+    A kept coefficient guesses its own sign, an admitted one the sign of
+    ``-g_i``, an unpenalized one ``+1``.  Rounds stop once nothing violates
+    after an exact solve, or at ``max_inner`` linear solves.  A coordinate
+    with a zero column (Gram diagonal 0) stays 0.  A singular ``G[A, A]``
+    (dependent columns; a solve that raises, or returns a point that fails
+    the KKT test on ``W``) takes ``SINGULAR_RIDGE`` times its largest
+    diagonal entry, which makes the minimizer unique and moves it by
+    rounding only.  Returns the linear solves, whether the last was exact,
+    and the largest ``|W|``.
+    """
+    live = np.ravel(gram.diagonal, order="F") > 0
+    free = live & (nu == 0)
+    x[~live] = 0.0
+    k = max(10, np.count_nonzero(x))
+    solves = size = 0
+    solved = False
+    while solves < max_inner:
+        sign = np.sign(x)
+        sign[free & (sign == 0)] = 1.0
+        excess = np.where(live & (sign == 0), np.abs(g) - nu * (1 + KKT_TOL_FACTOR), 0.0)
+        admit = np.flatnonzero(excess > 0)
+        if admit.size > k:
+            admit = admit[np.argpartition(excess[admit], -k)[-k:]]
+        if not admit.size and (solved or not sign.any()):
+            break
+        sign[admit] = -np.sign(g[admit])
+        index = np.flatnonzero(sign)
+        size = max(size, index.size)
+        v, x_w, sign_w, c_w, nu_w = (gram.submatrix(index), x[index], sign[index], c[index],
+                                     nu[index])
+        n = 1
+        try:
+            n, solved = _column_lasso(v, c_w, x_w, sign_w, nu_w, max_inner - solves)
+            act = x_w != 0
+            if solved and (np.abs(v[act] @ x_w - c_w[act] + nu_w[act] * np.sign(x_w[act]))
+                           > KKT_TOL_FACTOR * (np.abs(c_w).max() + nu_w.max())).any():
+                # a singular G[A, A] that did not raise: the solve returned
+                # amplified rounding, so the round starts again
+                x_w, sign_w = x[index], sign[index]
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            # dependent columns: go on with a ridge of rounding size, which
+            # makes the minimizer unique; a failed solve counts as one
+            v[np.diag_indices_from(v)] += SINGULAR_RIDGE * v.diagonal().max()
+            more, solved = _column_lasso(v, c_w, x_w, sign_w, nu_w, max_inner - solves - n)
+            n += more
+        solves += n
+        x[index] = x_w
+        g = np.ravel(gram.apply(x), order="F") - c
+        if not solved:
+            break
+        k = max(k, 2 * np.count_nonzero(x))
+    return solves, solved, size
 
-    On return the objective is evaluated in residual form (one forward
-    apply, one Omega apply); if it exceeds the warm-start objective, the
-    warm start is returned.  The KKT certificate is one adjoint of the
-    returned coefficients' weighted residual, so it is exact there, and
-    ``converged`` is its pass flag; without a penalty there is no KKT test,
-    and ``converged`` means the last solve was exact.  ``working_set`` is
-    the largest ``|W|``.
+
+def fit_component(block, target, lam, weights, warm=None, options=None):
+    """Exact weighted-lasso fit of one block against the partial residual
+    ``target`` by :func:`_working_set_lasso` on the block's ``gram()`` ``G =
+    X^T (I_M kron Omega) X``, with ``c = X^T Omega target``.
+
+    Set-up makes one forward, one Omega and one adjoint apply (the exact
+    objective and gradient ``g`` at the warm start) and one Gram apply
+    (``c = G theta_0 - g``).  ``n_iter`` counts linear solves, up to
+    ``max_inner``; ``tol_inner`` is not read.  On return the objective is
+    evaluated in residual form; if it exceeds the warm start's, the warm
+    start is returned.  The KKT certificate is one adjoint of the returned
+    coefficients' weighted residual, so it is exact there, and
+    ``converged`` is its pass flag; without a penalty, whether the last
+    solve was exact.  ``working_set`` is the largest ``|W|``.
     """
     opts = options or SolverOptions()
     shape = block.coef_shape
@@ -243,49 +269,18 @@ def fit_component(block, target, lam, weights, warm=None, options=None):
     x = x0.flatten(order="F")
     g = np.ravel(-block.adjoint(r_start), order="F")
     c = np.ravel(gram.apply(x0), order="F") - g
-    nu = lam * np.ravel(weights, order="F")
-    live = np.ravel(gram.diagonal, order="F") > 0
-    free = live & (nu == 0)
-    x[~live] = 0.0
-    k = max(10, np.count_nonzero(x))
-    solves = size = 0
-    solved = False
-    while solves < opts.max_inner:
-        sign = np.sign(x)
-        sign[free & (sign == 0)] = 1.0
-        excess = np.where(live & (sign == 0), np.abs(g) - nu * (1 + KKT_TOL_FACTOR), 0.0)
-        admit = np.flatnonzero(excess > 0)
-        if admit.size > k:
-            admit = admit[np.argpartition(excess[admit], -k)[-k:]]
-        if not admit.size and (solved or not sign.any()):
-            break
-        sign[admit] = -np.sign(g[admit])
-        index = np.flatnonzero(sign)
-        size = max(size, index.size)
-        v, x_w, sign_w, nu_w = gram.submatrix(index), x[index], sign[index], nu[index]
-        budget = opts.max_inner - solves
-        try:
-            n, solved = _column_lasso(v, c[index], x_w, sign_w, nu_w, budget)
-        except np.linalg.LinAlgError:
-            # dependent columns: go on from the point reached with a ridge of
-            # rounding size, which makes the minimizer unique; the failed
-            # solve counts as one
-            v[np.diag_indices_from(v)] += SINGULAR_RIDGE * v.diagonal().max()
-            n, solved = _column_lasso(v, c[index], x_w, sign_w, nu_w, budget - 1)
-            n += 1
-        solves += n
-        x[index] = x_w
-        g = np.ravel(gram.apply(x), order="F") - c
-        if not solved:
-            break
-        k = max(k, 2 * np.count_nonzero(x))
+    solves, solved, size = _working_set_lasso(gram, c, x, g, lam * np.ravel(weights, order="F"),
+                                              opts.max_inner)
 
     coef = x.reshape(shape, order="F")
     resid, objective = _weighted_residual(block, target, coef, lam, weights)
     if not objective <= f_start:
         # rounding lost the descent: keep the warm start
         coef, resid, objective, solved = x0, r_start, f_start, False
-    kkt = _certificate(coef, -block.adjoint(resid), lam, weights)
+    # the exact certificate; with no penalty there is no KKT test, and the
+    # residual is the gradient size
+    grad = -block.adjoint(resid)
+    kkt = (float(np.abs(grad).max()), True) if lam == 0 else kkt_residual(grad, coef, lam, weights)
     return ComponentFit(coef, objective, np.array([f_start, objective]), solves,
                         kkt[1] if lam > 0 else solved, *kkt, size)
 
@@ -326,6 +321,7 @@ class Rank1Fit:
     eta: np.ndarray
     alpha: np.ndarray
     objective: float
+    trace: np.ndarray
     n_alternations: int
     n_iter: int
     converged: bool
@@ -333,116 +329,109 @@ class Rank1Fit:
     kkt_residual: float
 
 
-def _rank1_init(design, target):
-    """Leading separable direction of the stimulus-block gradient at zero."""
-    g = design.blocks["stimulus"].weighted_adjoint(target)
-    mat = g.reshape(-1, g.shape[-1], order="F")
-    _, _, vt = np.linalg.svd(mat, full_matrices=False)
-    zeta = vt[0]
-    peak = int(np.abs(zeta).argmax())
-    if zeta[peak] < 0:
-        zeta = -zeta
-    return zeta
-
-
 def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
                               warm_eta=None, options=None):
-    """Rank-one stimulus fit by alternating weighted lassos.
+    """Rank-one stimulus fit by alternating weighted lassos in Gram form.
 
-    The stimulus coefficients are constrained to ``alpha[i,j,k] =
-    zeta[k] * eta[i,j]``.  With one factor fixed, the loss is a scaled
-    least-squares problem for the other on a contracted target: the eta
-    step fits the spatial field to ``sum_k g_k T_k / |g|^2`` (``g = phi_t
-    zeta``) on one frame; the zeta step fits the time profile to ``c_k =
-    <Omega f, T_k> / f'Omega f`` (``f`` the field of ``eta``) without Omega.
-    Both factor blocks, and their Grams, are the design's own.  Each step
-    is solved exactly by :func:`fit_component` from the previous factor, so
-    ``n_iter`` counts linear solves.
-    Alternation makes the joint objective non-increasing.  It stops once
-    that objective stalls (``tol_rank1``) at stationary factors, whose
-    rank-one KKT residual is at most ``KKT_TOL_FACTOR * lam``.  Returns a
-    collapsed (all-zero) stimulus with a flag when either factor vanishes.
-    The returned ``kkt_residual`` is the rank-one stationarity at the
-    returned factors: the larger of the eta-lasso residual with zeta fixed
-    and the zeta-lasso residual with eta fixed, both in units of ``lam``.
+    The stimulus is ``alpha[i,j,k] = zeta[k] * eta[i,j]``, as a ``(p_x p_y,
+    p_t)`` matrix ``A = eta zeta^T``, on which the stimulus Gram acts as
+    ``G_s A G_t``.  The loss is ``1/2 (zeta^T G_t zeta)(eta^T G_s eta) -
+    eta^T C zeta + const``, with ``C = G A_0 - g_0 = X^T Omega target`` from
+    one residual at the warm product ``A_0``.  So the eta step is the lasso
+    on ``(zeta^T G_t zeta) G_s`` with linear term ``C zeta``, the zeta step
+    the one on ``(eta^T G_s eta) G_t`` with ``C^T eta``, each solved exactly
+    by :func:`_working_set_lasso`; ``n_iter`` counts linear solves.  A
+    missing or zero ``warm_zeta`` starts as C's leading right singular
+    vector.
+
+    ``trace`` is the objective at the start and after each alternation in
+    Gram form, the start objective plus ``<g_0, D> + 1/2 <D, G_s D G_t>``
+    for ``D = A - A_0`` plus the penalty, so its rounding scales with the
+    change.  Alternation stops once it stalls (``tol_rank1``) at factors
+    whose rank-one KKT residual, from the gradient ``g_0 + G_s D G_t``, is
+    at most ``KKT_TOL_FACTOR * lam``.  A vanishing factor collapses the
+    stimulus to zero, flagged, and the trace ends there.  The data are read
+    again only at return, for the residual-form ``objective`` and the
+    certificate ``kkt_residual``: the larger of the eta-lasso KKT residual
+    with zeta fixed and the zeta-lasso one with eta fixed.  ``converged``
+    is its pass flag; without a penalty, whether the alternation stopped.
     """
     opts = options or SolverOptions()
-    shape = design.basis.coef_shapes["stimulus"]  # (space..., time)
+    stimulus = design.blocks["stimulus"]
+    g_s, g_t = stimulus.gram().factors
+    shape = stimulus.coef_shape  # (space..., time)
     if weights is None:
         weights = np.ones(shape)
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
+    w = weights.reshape(len(g_s), len(g_t), order="F")
 
-    zeta = None if warm_zeta is None else np.array(warm_zeta, dtype=np.float64)
-    eta = (np.zeros(shape[:-1]) if warm_eta is None
-           else np.array(warm_eta, dtype=np.float64))
-    if zeta is None or not zeta.any():
-        zeta = _rank1_init(design, target)
-    # balance the factor scales without changing their product
-    nz = np.linalg.norm(zeta)
-    if nz > 0:
-        zeta = zeta / nz
-        eta = eta * nz
+    def balanced(zeta, eta):
+        # the factor scales, balanced without changing their product
+        nz = np.linalg.norm(zeta)
+        return (zeta / nz, eta * nz) if nz > 0 else (zeta, eta)
 
-    space, times, stimulus = (design.blocks[name]
-                              for name in ("stimulus-eta", "stimulus-zeta", "stimulus"))
+    zeta, eta = balanced(
+        np.zeros(len(g_t)) if warm_zeta is None else np.array(warm_zeta, dtype=np.float64),
+        np.zeros(len(g_s)) if warm_eta is None
+        else np.array(warm_eta, dtype=np.float64).ravel(order="F"))
+    a_start = np.outer(eta, zeta)
+    resid, loss_start = _weighted_residual(stimulus, target, a_start.reshape(shape, order="F"),
+                                           0.0, weights)
+    if not np.isfinite(loss_start):
+        raise DivergenceError("non-finite objective at warm start of 'stimulus'")
+    g_start = -stimulus.adjoint(resid).reshape(a_start.shape, order="F")
+    c = g_s @ a_start @ g_t - g_start
+    if not zeta.any():
+        # the leading separable direction of C
+        zeta = np.linalg.svd(c, full_matrices=False)[2][0]
+        if zeta[np.abs(zeta).argmax()] < 0:
+            zeta = -zeta
+        zeta, eta = balanced(zeta, eta)
 
-    def stationarity(resid):
+    def objective(a):
+        # the Gram-form objective and loss gradient at A
+        d = a - a_start
+        gd = g_s @ d @ g_t
+        return (loss_start + float(np.vdot(g_start + 0.5 * gd, d))
+                + lam * float(np.sum(w * np.abs(a))), g_start + gd)
+
+    def stationarity(grad):
         # each factor's lasso KKT residual with the other fixed, by the
-        # chain rule, at the factors whose residual this is
-        grad = -stimulus.adjoint(resid)
-        return max(kkt_residual(grad @ zeta, eta, lam, weights @ np.abs(zeta))[0],
-                   kkt_residual(np.tensordot(eta, grad, 2), zeta, lam,
-                                np.tensordot(np.abs(eta), weights, 2))[0])
+        # chain rule, at the current factors
+        return max(kkt_residual(grad @ zeta, eta, lam, w @ np.abs(zeta))[0],
+                   kkt_residual(eta @ grad, zeta, lam, np.abs(eta) @ w)[0])
 
-    alpha = np.einsum("k,ij->ijk", zeta, eta)
-    resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
+    def solve(x, gram_factor, linear, nu):
+        gram = _Gram([gram_factor], x.shape)
+        return _working_set_lasso(gram, linear, x, gram.apply(x) - linear, nu, opts.max_inner)[0]
+
+    trace = [objective(np.outer(eta, zeta))[0]]
     total_iter = 0
-    converged = False
-    collapsed = False
-    kkt = None
+    stopped = collapsed = False
     n_alt = 0
     for n_alt in range(1, opts.max_rank1 + 1):
-        profile = times.predict(zeta)
-        scale = float(profile @ profile)
-        if scale == 0.0:
+        total_iter += solve(eta, (zeta @ g_t @ zeta) * g_s, c @ zeta, lam * (w @ np.abs(zeta)))
+        if eta.any():
+            total_iter += solve(zeta, (eta @ g_s @ eta) * g_t, eta @ c, lam * (np.abs(eta) @ w))
+        if not (eta.any() and zeta.any()):
             collapsed = True
             break
-        w_eta = np.einsum("ijk,k->ij", weights, np.abs(zeta))
-        fit_e = fit_component(space, (target @ profile) / scale, lam / scale, w_eta, eta, opts)
-        eta = fit_e.coef
-        total_iter += fit_e.n_iter
-        field = space.predict(eta)
-        weighted_field = space.weigh(field)
-        scale = float(np.vdot(field, weighted_field))
-        if scale == 0.0:
-            collapsed = True
-            break
-        w_zeta = np.einsum("ijk,ij->k", weights, np.abs(eta))
-        contracted = np.einsum("ij,ijk->k", weighted_field, target) / scale
-        fit_z = fit_component(times, contracted, lam / scale, w_zeta, zeta, opts)
-        zeta = fit_z.coef
-        total_iter += fit_z.n_iter
-        if not zeta.any():
-            collapsed = True
-            break
-        alpha = np.einsum("k,ij->ijk", zeta, eta)
-        resid, new_obj = _weighted_residual(stimulus, target, alpha, lam, weights)
-        stalled = abs(obj - new_obj) <= opts.tol_rank1 * max(1.0, abs(obj))
-        obj = new_obj
+        obj, grad = objective(np.outer(eta, zeta))
+        stalled = abs(trace[-1] - obj) <= opts.tol_rank1 * max(1.0, abs(trace[-1]))
+        trace.append(obj)
         # a stalled objective is not a solution unless the factors are stationary
-        kkt = stationarity(resid) if stalled else None
-        if stalled and (lam == 0 or kkt <= KKT_TOL_FACTOR * lam):
-            converged = True
+        if stalled and (lam == 0 or stationarity(grad) <= KKT_TOL_FACTOR * lam):
+            stopped = True
             break
     if collapsed:
         eta = np.zeros_like(eta)
-        alpha = np.einsum("k,ij->ijk", zeta, eta)
-        resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
-        kkt = stationarity(resid)
-        converged = bool(lam == 0 or kkt <= KKT_TOL_FACTOR * lam)
-    elif kkt is None:
-        kkt = stationarity(resid)
-    return Rank1Fit(zeta, eta, alpha, obj, n_alt, total_iter, converged, collapsed, kkt)
+        trace.append(objective(np.outer(eta, zeta))[0])
+    alpha = np.outer(eta, zeta).reshape(shape, order="F")
+    resid, obj = _weighted_residual(stimulus, target, alpha, lam, weights)
+    kkt = stationarity(-stimulus.adjoint(resid).reshape(w.shape, order="F"))
+    converged = bool(kkt <= KKT_TOL_FACTOR * lam) if lam > 0 else stopped or collapsed
+    return Rank1Fit(zeta, eta.reshape(shape[:-1], order="F"), alpha, obj, np.asarray(trace),
+                    n_alt, total_iter, converged, collapsed, kkt)
 
 
 # -- block relaxation over the penalty path ------------------------------------

@@ -462,6 +462,14 @@ class TestConvergenceWarnings:
         assert len(warnings) == len(unconverged), warnings
         for i, line in zip(unconverged, warnings):
             assert f"lambda index {i} " in line and "max_sweeps = 1" in line, line
+            # the reason: the last sweep's relative objective change against
+            # tol_outer, and the blocks whose last sub-fit was not certified
+            fit = report["fits"][i]
+            start, end = fit["objective_trace"][-3], fit["objective_trace"][-1]
+            change = abs(start - end) / max(1.0, abs(start))
+            assert f"relative objective change {change:.3g} (tol_outer = 0.0001)" in line, line
+            failed = [name for name, ok in fit["converged"].items() if not ok]
+            assert line.endswith(f"uncertified sub-fits: {', '.join(failed) or 'none'}"), line
 
     def test_mrce_warns_for_both_rounds_and_reports_glasso_certificate(
             self, pipeline, tmp_path, capsys):

@@ -20,7 +20,7 @@ from fieldnet.arrays import vec
 from fieldnet.design import _KronBlock
 from fieldnet.errors import ShapeError
 from fieldnet.solver import power_lipschitz
-from oracles import explicit_design, kron_matrix, naive_convolution_tensor, theta_vec
+from oracles import explicit_design, naive_convolution_tensor, theta_vec
 
 
 def random_spd(rng, n):
@@ -37,22 +37,20 @@ def weigh_rows(dense, omega):
 
 def block_cases(rng, design):
     """(block, explicit columns) for every block of the design that has a
-    Gram, unweighted and weighted by a random SPD Omega, plus the
-    time-factor block (which a design leaves unweighted) under a
-    frame-sized Omega of its own."""
+    Gram, unweighted and weighted by a random SPD Omega, plus a toy
+    one-factor block on the time basis, unweighted and under a
+    frame-sized Omega."""
     basis = design.basis
     x, slices = explicit_design(design)
     net, mem = x[:, slices["network"]], x[:, slices["memory"]]
     dense = {"stimulus": x[:, slices["stimulus"]], "network": net, "memory": mem,
-             "network+memory": np.hstack([net, mem]),
-             "stimulus-eta": kron_matrix([basis.phi_x, basis.phi_y]),
-             "stimulus-zeta": basis.phi_t}
+             "network+memory": np.hstack([net, mem])}
     weighted = design.with_omega(random_spd(rng, design.grid.n_pixels))
     cases = [(case.blocks[name], cols) for case in (design, weighted)
              for name, cols in dense.items()]
-    times = _KronBlock("stimulus-zeta", [basis.phi_t], (basis.p_t,),
-                       omega=random_spd(rng, design.grid.n_steps))
-    return cases + [(times, basis.phi_t)]
+    times = [_KronBlock("times", [basis.phi_t], (basis.p_t,), omega=omega)
+             for omega in (None, random_spd(rng, design.grid.n_steps))]
+    return cases + [(block, basis.phi_t) for block in times]
 
 
 def simple_setup(rng):
@@ -305,8 +303,9 @@ class TestRestrictedGram:
                     assert np.abs(got - want).max(initial=0.0) <= tol, (block.name, index)
 
     def test_one_factor_grams_restrict_densely(self, rng):
-        # quickstart's 3x3 spatial basis: the eta, memory and zeta Grams are
-        # one dense factor each, whose G[W, W] is a plain gather
+        # quickstart's 3x3 spatial basis: the memory Gram and a toy block's
+        # on the time basis are one dense factor each, whose G[W, W] is a
+        # plain gather
         grid = Grid(n_x=6, n_y=6, n_steps=12, n_lags=3, dt=0.05,
                     x_range=(0.0, 6.0), y_range=(0.0, 6.0))
         basis = build_basis_set(
@@ -318,7 +317,7 @@ class TestRestrictedGram:
         )
         design = build_design(rng.standard_normal((6, 6, grid.n_frames)), basis)
         for block, dense in block_cases(rng, design):
-            if block.name not in ("stimulus-eta", "memory", "stimulus-zeta"):
+            if block.name not in ("memory", "times"):
                 continue
             gram = block.gram()
             assert len(gram.factors) == 1, block.name
@@ -344,7 +343,7 @@ class TestDesignBlocks:
         assert design.blocks is design.blocks
         for name, block in weighted.blocks.items():
             assert block is not design.blocks[name]
-            assert block.omega is (None if name == "stimulus-zeta" else omega), name
+            assert block.omega is omega, name
             assert design.blocks[name].omega is None
         v = rng.standard_normal(joint.shape[1])
         big = np.kron(np.eye(m), omega)

@@ -353,40 +353,110 @@ class TestFactorFits:
         assert fit.kkt_ok == ok and ok and fit.converged
 
     def test_each_factor_fit_is_exact_and_alternation_descends(self, rng, monkeypatch):
+        # every eta and zeta step passes its lasso KKT test with the other
+        # factor fixed, by the explicit design's gradient at the step's
+        # product, and the alternation's objective never rises
         grid, basis, design = rank1_instance(rng)
-        fits, joint = [], []
+        d, m = grid.n_pixels, grid.n_steps
+        x, slices = explicit_design(design)
+        xs = x[:, slices["stimulus"]]
+        steps = []
 
-        def recording_fit(block, target, lam, weights, warm, options=None):
-            fit = fit_component(block, target, lam, weights, warm, options)
-            fits.append((block, target, lam, weights, fit))
-            return fit
-
-        def recording_residual(block, target, theta, lam, weights):
-            out = _weighted_residual(block, target, theta, lam, weights)
-            if block.name == "stimulus":
-                joint.append(out[1])
+        def recording(gram, c, x, g, nu, max_inner, solve=solver_module._working_set_lasso):
+            start = x.copy()
+            out = solve(gram, c, x, g, nu, max_inner)
+            steps.append((start, x.copy(), nu, out))
             return out
 
-        monkeypatch.setattr(solver_module, "fit_component", recording_fit)
-        monkeypatch.setattr(solver_module, "_weighted_residual", recording_residual)
+        monkeypatch.setattr(solver_module, "_working_set_lasso", recording)
         shape = (basis.p_x, basis.p_y, basis.p_t)
-        for case in (design, design.with_omega(random_precision(rng, grid.n_pixels))):
+        for omega in (None, random_precision(rng, d)):
+            case = design if omega is None else design.with_omega(omega)
+            big = np.eye(d * m) if omega is None else np.kron(np.eye(m), omega)
             weights = 0.5 + rng.random(shape)
+            w = weights.reshape(-1, basis.p_t, order="F")
             top = stimulus_lambda_max(case, weights)
+
+            def grad(eta, zeta):
+                resid = vec(case.target) - xs @ np.outer(eta, zeta).ravel(order="F")
+                return -(xs.T @ (big @ resid)).reshape(w.shape, order="F")
+
             for factor in (0.3, 0.05):
-                fits.clear()
-                joint.clear()
-                rank1 = fit_reduced_rank_stimulus(case, case.target, factor * top, weights)
+                lam = factor * top
+                steps.clear()
+                rank1 = fit_reduced_rank_stimulus(case, case.target, lam, weights)
                 assert not rank1.collapsed
-                assert len(fits) == 2 * rank1.n_alternations
-                assert rank1.n_iter == sum(fit.n_iter for *_, fit in fits)
-                for block, target, lam, w, fit in fits:
-                    grad = -block.weighted_adjoint(target - block.predict(fit.coef))
-                    resid, ok = kkt_residual(grad, fit.coef, lam, w)
-                    assert ok and resid <= KKT_TOL_FACTOR * lam, (block.name, resid / lam)
-                    assert fit.converged
-                assert len(joint) == rank1.n_alternations + 1
-                assert monotone(joint), np.diff(joint)
+                assert len(steps) == 2 * rank1.n_alternations
+                assert rank1.n_iter == sum(out[0] for *_, out in steps)
+                # the eta step holds zeta at the zeta step's start; the zeta
+                # step holds eta at the eta step's result
+                for (_, eta, nu_eta, out_eta), (zeta, zeta_new, nu_zeta, out_zeta) in zip(
+                        steps[::2], steps[1::2]):
+                    for coef, g, nu, w_fixed, out in (
+                            (eta, grad(eta, zeta) @ zeta, nu_eta, w @ np.abs(zeta), out_eta),
+                            (zeta_new, eta @ grad(eta, zeta_new), nu_zeta, np.abs(eta) @ w,
+                             out_zeta)):
+                        assert np.abs(nu - lam * w_fixed).max() <= 1e-12 * np.abs(nu).max()
+                        resid, ok = kkt_residual(g, coef, lam, w_fixed)
+                        assert ok and resid <= KKT_TOL_FACTOR * lam, resid / lam
+                        assert out[1]  # the last solve was exact
+                assert len(rank1.trace) == rank1.n_alternations + 1
+                assert monotone(rank1.trace), np.diff(rank1.trace)
+
+
+class TestRank1Trace:
+    """``Rank1Fit.trace`` is the Gram-form objective at the start and after
+    each alternation."""
+
+    @staticmethod
+    def noise_free_instance():
+        # criterion 9's geometry: a noise-free rank-one stimulus, whose
+        # objective near lambda = 0 is tiny next to 1/2 |target|^2
+        grid = Grid(n_x=4, n_y=4, n_steps=40, n_lags=2, dt=0.25,
+                    x_range=(0.0, 4.0), y_range=(0.0, 4.0))
+        basis = build_basis_set(
+            grid,
+            uniform_bspline_spec(1, 3, *grid.x_range),
+            uniform_bspline_spec(1, 3, *grid.y_range),
+            uniform_bspline_spec(2, 4, 0.0, grid.duration),
+            uniform_bspline_spec(1, 2, -grid.tau, 0.0),
+        )
+        eta = np.abs(np.random.default_rng(7).standard_normal((3, 3))) + 0.2
+        truth = DriftCoefficients.from_rank1(np.array([0.5, 2.0, -1.0, 0.8]), eta,
+                                             np.zeros((3, 3, 3, 3, 2)), np.zeros((3, 3)))
+        data = simulate_euler(SimConfig(grid=grid, seed=1), truth, basis)
+        return build_design(data, basis)
+
+    @pytest.mark.parametrize("case", ["plain", "omega", "noise-free"])
+    def test_entries_are_objectives_of_shorter_fits_and_descend(self, rng, case):
+        warm = {}
+        if case == "noise-free":
+            design = self.noise_free_instance()
+            weights = np.ones(design.basis.coef_shapes["stimulus"])
+            lam = 1e-7 * lambda_max(design)
+            # warm-started from a larger penalty, as along a path, so each
+            # alternation's change is small next to 1/2 |target|^2
+            start = fit_reduced_rank_stimulus(design, design.target, 1e3 * lam, weights)
+            warm = {"warm_zeta": start.zeta, "warm_eta": start.eta}
+            half = 0.5 * float(np.vdot(design.target, design.target))
+        else:
+            grid, basis, design = rank1_instance(rng)
+            if case == "omega":
+                design = design.with_omega(random_precision(rng, grid.n_pixels))
+            weights = 0.5 + rng.random((basis.p_x, basis.p_y, basis.p_t))
+            lam = 0.02 * stimulus_lambda_max(design, weights)
+        trace = None
+        for k in (6, 1, 2, 3, 4, 5, 6):
+            fit = fit_reduced_rank_stimulus(design, design.target, lam, weights, **warm,
+                                            options=SolverOptions(tol_rank1=0.0, max_rank1=k))
+            assert not fit.collapsed and fit.n_alternations == k
+            if trace is None:
+                trace = fit.trace
+                assert len(trace) == 7
+                if case == "noise-free":
+                    assert trace[-1] <= 1e-4 * half
+            assert abs(trace[k] - fit.objective) <= 1e-12 * fit.objective, k
+        assert (np.diff(trace) <= 1e-12 * trace[:-1]).all(), np.diff(trace)
 
 
 class TestBlockRelaxation:
@@ -505,7 +575,7 @@ class TestGramsBuiltOncePerDesign:
         grid, basis, design = rank1_instance(rng)
         weighted = design.with_omega(random_precision(rng, grid.n_pixels))
         penalty = PenaltySpec(default_lambda_path(lambda_max(design), 5, 1e-2))
-        once = ["memory", "network", "network+memory", "stimulus-eta", "stimulus-zeta"]
+        once = ["memory", "network", "network+memory", "stimulus"]
         # a design keeps its Grams: a second path on it builds none
         for case, want in ((design, once), (weighted, once), (design, [])):
             built.clear()
@@ -583,6 +653,26 @@ class TestResidualBookkeeping:
             if n > 1:
                 assert fit.converged and fit.kkt_residual <= KKT_TOL_FACTOR * lam
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "omega"])
+    def test_rank_one_reads_the_data_at_start_and_return_only(self, rng, weighted):
+        # the alternations run on the stimulus Gram's factors: one rank-one
+        # fit makes the same forward, Omega and adjoint applies whatever
+        # its number of alternations
+        grid, basis, design = rank1_instance(rng)
+        if weighted:
+            design = design.with_omega(random_precision(rng, grid.n_pixels))
+        lam = 0.02 * stimulus_lambda_max(design, np.ones((basis.p_x, basis.p_y, basis.p_t)))
+        counted = CountingBlock(design.blocks["stimulus"])
+        design.blocks["stimulus"] = counted
+        ledger = []
+        for k in (1, 8):
+            counted.predicts = counted.weighs = counted.adjoints = 0
+            fit = fit_reduced_rank_stimulus(design, design.target, lam,
+                                            options=SolverOptions(tol_rank1=0.0, max_rank1=k))
+            assert fit.n_alternations == k and not fit.collapsed
+            ledger.append((counted.predicts, counted.weighs, counted.adjoints))
+        assert ledger[0] == ledger[1] == (2, 2, 2), ledger
+
     def test_lambda_zero_cancellation(self):
         # a large fitted part and a tiny residual: the objective is a small
         # difference of large quadratic terms, so candidates must be
@@ -633,19 +723,16 @@ class TestWorkingSetMatchesFullWidth:
     # the working-set fit reaches the optimum that the full-width proximal
     # gradient iteration reaches: the same objective and, with a penalty,
     # the same support
-    CASES = ["network", "network+memory", "network+memory-omega", "stimulus-eta",
-             "stimulus-zeta"]
+    CASES = ["network", "network+memory", "network+memory-omega", "stimulus", "stimulus-omega"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_objective_and_support(self, case):
         loc = np.random.default_rng(8)
         _, _, _, design = tiny_instance(loc)
-        if case in ("network+memory-omega", "stimulus-eta"):
+        if case.endswith("-omega"):
             design = design.with_omega(random_precision(loc, design.grid.n_pixels))
         block = design.blocks[case.removesuffix("-omega")]
-        # the factor blocks fit one frame and one time profile
-        target = {"stimulus-eta": design.target[:, :, 0],
-                  "stimulus-zeta": design.target[0, 0]}.get(block.name, design.target)
+        target = design.target
         top = float(np.abs(block.weighted_adjoint(target)).max())
         weights = np.ones(block.coef_shape)
         opts = SolverOptions(max_inner=1500)
