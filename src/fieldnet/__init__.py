@@ -44,6 +44,7 @@ from .errors import (
     InvalidCovarianceError,
     ShapeError,
 )
+from .lasso import soft_threshold
 from .precision import PrecisionEstimate, graphical_lasso, matrix_sqrt_psd
 from .simulate import (
     NoiseModel,
@@ -67,7 +68,6 @@ from .solver import (
     fit_reduced_rank_stimulus,
     lambda_max,
     mrce_loop,
-    soft_threshold,
     support_scores,
 )
 from .summary import (

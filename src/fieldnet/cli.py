@@ -36,7 +36,6 @@ from .solver import (
     PenaltySpec,
     default_lambda_path,
     fit_block_relaxation,
-    lambda_max,
     mrce_loop,
     support_scores,
 )
@@ -205,10 +204,8 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     design = build_design(data, basis)
     opts = make_solver_options(cfg)
     stim_w = stimulus_weights(cfg, basis)
-    probe = PenaltySpec(np.array([1.0]), weights_stimulus=stim_w)
-    lam_max = lambda_max(design, probe.weights_for(basis))
-    path = default_lambda_path(lam_max, n_lambdas, pen_cfg["lambda_min_ratio"])
-    penalty = PenaltySpec(lambda_path=path, weights_stimulus=stim_w, nu=pen_cfg["nu"])
+    unit_path = default_lambda_path(1.0, n_lambdas, pen_cfg["lambda_min_ratio"])
+    penalty = PenaltySpec(unit_path, weights_stimulus=stim_w, nu=pen_cfg["nu"]).scaled_to(design)
 
     started = time.perf_counter()
     try:

@@ -4,23 +4,13 @@ Minimizes ``tr(S Omega) - log det(Omega) + nu * ||Omega||_1,off`` over
 positive definite matrices by block coordinate descent on the working
 covariance ``W`` (Friedman, Hastie & Tibshirani 2008).  Column ``j``
 solves the lasso ``min 0.5 b'Wb - b's_j + nu |b|_1`` (``b_j = 0``)
-exactly on an active set ``A`` by sign-fixed linear solves: every active
-coefficient gets a sign (a non-zero warm start keeps its own, a coordinate
-just admitted takes the sign of its residual ``s_j - Wb``), and one solve
-``W[A, A] b = s_A - nu sign`` whose result carries those signs is the
-minimizer on ``A``.  A wrong guess hands over to feature-sign search from
-the current point (Lee, Battle, Raina & Ng 2007): a line search over the
-sign changes on the segment toward the solve, the zeros dropped, then the
-worst zero violator of ``A`` activated one at a time.  One vectorized KKT
-pass ``r = s_j - Wb`` then admits every zero with ``|r| > nu`` and the
-column is solved again.  ``Wb`` is written back into row and column
-``j``, the coefficients warm-start the next sweep, and the duality gap of
-the recovered precision matrix stops the loop.  Only off-diagonal entries
+exactly with the kernel of ``lasso.py`` on an active set ``A``: a non-zero
+warm start keeps its sign, and one vectorized KKT pass ``r = s_j - Wb``
+admits every zero with ``|r| > nu`` with the sign of its residual, until
+none is left.  ``Wb`` is written back into row and column ``j``, the
+coefficients warm-start the next sweep, and the duality gap of the
+recovered precision matrix stops the loop.  Only off-diagonal entries
 are penalized, so large ``nu`` shrinks the estimate to ``diag(1 / S_ii)``.
-
-The kernel, :func:`_column_lasso`, takes a scalar or per-coordinate
-penalty and is the package's one lasso solver: ``solver.fit_component``
-runs every drift sub-fit with it, on a working set of coordinates.
 """
 
 from __future__ import annotations
@@ -30,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCovarianceError, ShapeError
+from .lasso import _column_lasso
 
 
 @dataclass
@@ -93,72 +84,6 @@ def _dual_gap(objective, s, w_dual, nu):
     if logdet is None:
         return np.inf
     return max(objective - logdet - s.shape[0], 0.0)
-
-
-def _line_search(v, c, x, z, nu):
-    """Best point of the segment from ``x`` toward ``z`` for the lasso
-    ``0.5 x'vx - c'x + sum_i nu_i |x_i|``, among ``z`` and the points where
-    a penalized coefficient changes sign; ``None`` if none is lower than
-    ``x``.  ``nu`` is a scalar or per-coordinate."""
-    d = z - x
-    # only here can x + t d reach a kink of the penalty for t in (0, 1)
-    cross = (x * z < 0) & (nu > 0)
-    t = np.append(x[cross] / (x[cross] - z[cross]), 1.0)
-    seg = np.abs(x + t[:, None] * d)
-    penalty = (nu * (seg.sum(axis=1) - np.abs(x).sum()) if np.ndim(nu) == 0
-               else seg @ nu - np.abs(x) @ nu)
-    gain = t * ((v @ x - c) @ d) + 0.5 * t * t * (d @ v @ d) + penalty
-    k = int(np.argmin(gain))
-    if gain[k] >= 0:
-        return None
-    if k == t.size - 1:
-        return z
-    out = x + t[k] * d
-    out[np.flatnonzero(cross)[t[:-1] == t[k]]] = 0.0
-    return out
-
-
-def _column_lasso(v, c, x, sign, nu, budget):
-    """Solve ``min 0.5 x'vx - c'x + sum_i nu_i |x_i|`` in place by
-    feature-sign search, with at most ``budget`` linear solves.
-
-    ``v`` is dense and symmetric positive definite on the active set.
-    ``nu`` is a scalar or a vector of per-coordinate penalties ``>= 0``; a
-    zero entry leaves its coordinate unpenalized, so its sign is free.
-    ``sign`` is the guess: its non-zero entries are the active
-    coordinates, and each active penalized ``x_i`` is zero or has that
-    sign.  Returns the solves made and whether ``x`` is the minimizer.  A
-    singular ``v[A, A]`` raises ``LinAlgError`` with ``x`` at the last point
-    reached, which is no higher than the start.
-    """
-    solves = 0
-    while solves < budget:
-        act = np.flatnonzero(sign)
-        if act.size:
-            v_act = v if act.size == sign.size else v[np.ix_(act, act)]
-            nu_act = nu if np.ndim(nu) == 0 else nu[act]
-            z = np.linalg.solve(v_act, c[act] - nu_act * sign[act])
-            solves += 1
-            if ((np.sign(z) != sign[act]) & (nu_act > 0)).any():
-                step = _line_search(v_act, c[act], x[act], z, nu_act)
-                if step is not None:
-                    x[act] = step
-                elif solves > 1:
-                    # past the caller's guess the segment descends, unless
-                    # W[A, A] is not positive definite (or at rounding level)
-                    break
-                sign[:] = np.sign(x)
-                continue
-            x[act] = z
-            if act.size == sign.size:  # no zero left to activate
-                return solves, True
-        r = c - v @ x
-        excess = np.where(sign == 0, np.abs(r) - nu, 0.0)
-        i = int(np.argmax(excess))
-        if excess[i] <= 0:
-            return solves, True
-        sign[i] = np.sign(r[i])
-    return solves, False
 
 
 def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):

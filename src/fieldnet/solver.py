@@ -9,15 +9,12 @@ over the stacked coefficient blocks, without forming the design matrix.
 A block relaxation sweep makes two sub-solves against partial residuals:
 the stimulus under a rank-one constraint (spatially modulated common
 temporal signal), then the propagation and memory blocks as one lasso on
-their stacked design.  Every lasso is solved exactly by one kernel,
-:func:`_working_set_lasso`: sign-fixed linear solves with feature-sign
-search, the kernel the graphical lasso's column solves use, on a small
-Gram restricted to a working set of coordinates that the worst KKT
-violators grow.  :func:`fit_component` runs it on a block's Gram ``X^T
-Omega X``; the stimulus alternates two small lassos, one per factor, on
-the stimulus Gram's own two factors (its Gram form, as in Currie, Durban &
-Eilers 2006).  Every solve descends from its warm start, so the full
-penalized objective is non-increasing across every sub-solve.  The data
+their stacked design.  Every lasso is solved exactly by the working-set
+kernel of ``lasso.py``.  :func:`fit_component` runs it on a block's Gram
+``X^T Omega X``; the stimulus alternates two small lassos, one per factor,
+on the stimulus Gram's own two factors (its Gram form, as in Currie,
+Durban & Eilers 2006).  Every solve descends from its warm start, so the
+full penalized objective is non-increasing across every sub-solve.  The data
 are touched only when a sub-solve starts and returns, where the objective
 and the KKT certificate are evaluated exactly in residual form.
 The precision ``Omega`` belongs to the design: the solver takes its
@@ -37,14 +34,8 @@ import numpy as np
 from .bases import DriftCoefficients
 from .design import _Gram, _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
 from .errors import DivergenceError
-from .precision import _column_lasso, graphical_lasso
-
-
-def soft_threshold(value, threshold):
-    """Proximal operator of the (scaled) absolute value."""
-    value = np.asarray(value, dtype=np.float64)
-    out = np.sign(value) * np.maximum(np.abs(value) - threshold, 0.0)
-    return float(out) if out.ndim == 0 else out
+from .lasso import KKT_TOL_FACTOR, _working_set_lasso, kkt_residual
+from .precision import graphical_lasso
 
 
 @dataclass
@@ -55,12 +46,6 @@ class SolverOptions:
     max_sweeps: int = 20
     tol_rank1: float = 1e-6
     max_rank1: int = 50
-
-
-# KKT pass tolerance, relative to the penalty level.
-KKT_TOL_FACTOR = 1e-4
-# Ridge on a singular G[W, W], relative to its largest diagonal entry.
-SINGULAR_RIDGE = 1e-13
 
 
 @dataclass
@@ -103,6 +88,14 @@ class PenaltySpec:
             w = getattr(self, f"weights_{name}")
             out[name] = np.ones(shape) if w is None else np.broadcast_to(w, shape).astype(float)
         return out
+
+    def scaled_to(self, design):
+        """This penalty with its path rescaled to start at ``design``'s
+        ``lambda_max`` under these weights, keeping the path's length and
+        end-to-start ratio."""
+        path = self.lambda_path
+        top = lambda_max(design, self.weights_for(design.basis))
+        return replace(self, lambda_path=default_lambda_path(top, path.size, path[-1] / path[0]))
 
 
 def default_lambda_path(lam_max, n_lambdas=10, min_ratio=1e-3):
@@ -149,21 +142,6 @@ def power_lipschitz(block, iterations=60, seed=0):
     return est
 
 
-def kkt_residual(grad_f, coef, lam, weights):
-    """Stationarity residual and pass flag for the weighted-lasso optimum.
-
-    Non-zero entries must satisfy ``|g + lam w sign(theta)| <= tol * lam``;
-    zero entries ``|g| <= lam w (1 + tol)``, with ``tol = KKT_TOL_FACTOR``.
-    """
-    grad_f, coef = np.asarray(grad_f), np.asarray(coef)
-    weights = np.broadcast_to(weights, coef.shape)
-    nz = coef != 0
-    on = float(np.abs(grad_f[nz] + lam * weights[nz] * np.sign(coef[nz])).max(initial=0.0))
-    off = np.abs(grad_f[~nz])
-    ok = on <= KKT_TOL_FACTOR * lam and (off <= lam * weights[~nz] * (1 + KKT_TOL_FACTOR)).all()
-    return max(on, float((off - lam * weights[~nz]).max(initial=0.0))), bool(ok)
-
-
 @dataclass
 class ComponentFit:
     coef: np.ndarray
@@ -174,72 +152,6 @@ class ComponentFit:
     kkt_residual: float
     kkt_ok: bool
     working_set: int
-
-
-def _working_set_lasso(gram, c, x, g, nu, max_inner):
-    """Minimize ``1/2 x^T G x - c^T x + sum_i nu_i |x_i|`` exactly from
-    ``x`` (updated in place), whose gradient ``G x - c`` is ``g``.  ``gram``
-    is ``G`` in factored form; all vectors are flat (column-major).
-
-    The working set ``W`` starts as the support and the unpenalized
-    coordinates.  Each round admits the ``k`` worst zero violators ``|g_i|
-    > nu_i (1 + KKT_TOL_FACTOR)`` (``k = max(10, |support|)``, then at least
-    twice the support), solves on ``W`` exactly with the graphical lasso's
-    feature-sign kernel on the dense ``gram.submatrix(W)``, and makes one
-    full Gram apply for the gradient everywhere; W's zeros then leave it.
-    A kept coefficient guesses its own sign, an admitted one the sign of
-    ``-g_i``, an unpenalized one ``+1``.  Rounds stop once nothing violates
-    after an exact solve, or at ``max_inner`` linear solves.  A coordinate
-    with a zero column (Gram diagonal 0) stays 0.  A singular ``G[A, A]``
-    (dependent columns; a solve that raises, or returns a point that fails
-    the KKT test on ``W``) takes ``SINGULAR_RIDGE`` times its largest
-    diagonal entry, which makes the minimizer unique and moves it by
-    rounding only.  Returns the linear solves, whether the last was exact,
-    and the largest ``|W|``.
-    """
-    live = np.ravel(gram.diagonal, order="F") > 0
-    free = live & (nu == 0)
-    x[~live] = 0.0
-    k = max(10, np.count_nonzero(x))
-    solves = size = 0
-    solved = False
-    while solves < max_inner:
-        sign = np.sign(x)
-        sign[free & (sign == 0)] = 1.0
-        excess = np.where(live & (sign == 0), np.abs(g) - nu * (1 + KKT_TOL_FACTOR), 0.0)
-        admit = np.flatnonzero(excess > 0)
-        if admit.size > k:
-            admit = admit[np.argpartition(excess[admit], -k)[-k:]]
-        if not admit.size and (solved or not sign.any()):
-            break
-        sign[admit] = -np.sign(g[admit])
-        index = np.flatnonzero(sign)
-        size = max(size, index.size)
-        v, x_w, sign_w, c_w, nu_w = (gram.submatrix(index), x[index], sign[index], c[index],
-                                     nu[index])
-        n = 1
-        try:
-            n, solved = _column_lasso(v, c_w, x_w, sign_w, nu_w, max_inner - solves)
-            act = x_w != 0
-            if solved and (np.abs(v[act] @ x_w - c_w[act] + nu_w[act] * np.sign(x_w[act]))
-                           > KKT_TOL_FACTOR * (np.abs(c_w).max() + nu_w.max())).any():
-                # a singular G[A, A] that did not raise: the solve returned
-                # amplified rounding, so the round starts again
-                x_w, sign_w = x[index], sign[index]
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            # dependent columns: go on with a ridge of rounding size, which
-            # makes the minimizer unique; a failed solve counts as one
-            v[np.diag_indices_from(v)] += SINGULAR_RIDGE * v.diagonal().max()
-            more, solved = _column_lasso(v, c_w, x_w, sign_w, nu_w, max_inner - solves - n)
-            n += more
-        solves += n
-        x[index] = x_w
-        g = np.ravel(gram.apply(x), order="F") - c
-        if not solved:
-            break
-        k = max(k, 2 * np.count_nonzero(x))
-    return solves, solved, size
 
 
 def fit_component(block, target, lam, weights, warm=None, options=None):
@@ -585,21 +497,16 @@ def mrce_loop(design, penalty, options=None, lambda_index=None):
     residual covariance by graphical lasso, then refit on weighted data.
 
     ``lambda_index`` selects the path entry feeding the precision step
-    (defaults to the path midpoint).  The second-round path is rebuilt
-    from the weighted problem's own zero-solution level, keeping the
-    length and dynamic range of the original path.
+    (defaults to the path midpoint).  The second round's path is
+    ``penalty.scaled_to(design.with_omega(Omega))``: the first path's length
+    and range, from the weighted problem's own zero-solution level.
     """
     opts = options or SolverOptions()
     first = fit_block_relaxation(design, penalty, opts)
     idx = penalty.lambda_path.size // 2 if lambda_index is None else int(lambda_index)
     prec = graphical_lasso(residual_covariance(design, first.fits[idx].coeffs), penalty.nu)
     design2 = design.with_omega(prec.omega)
-
-    lam_max2 = lambda_max(design2, penalty.weights_for(design.basis))
-    ratio = penalty.lambda_path[-1] / penalty.lambda_path[0]
-    path2 = default_lambda_path(lam_max2, penalty.lambda_path.size, ratio)
-    penalty2 = replace(penalty, lambda_path=path2)
-    second = fit_block_relaxation(design2, penalty2, opts)
+    second = fit_block_relaxation(design2, penalty.scaled_to(design2), opts)
     return MrceResult(first=first, precision=prec, second=second, lambda_index=idx)
 
 

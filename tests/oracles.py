@@ -11,13 +11,13 @@ import numpy as np
 from fieldnet.arrays import vec
 from fieldnet.bases import eval_bspline_basis, network_values
 from fieldnet.errors import DivergenceError
+from fieldnet.lasso import soft_threshold
 from fieldnet.precision import glasso_objective, ridge_repair
 from fieldnet.solver import (
     ComponentFit,
     SolverOptions,
     _weighted_residual,
     kkt_residual,
-    soft_threshold,
 )
 
 

@@ -25,6 +25,7 @@ from fieldnet import (
     white_covariance,
 )
 from fieldnet import design as design_module
+from fieldnet import lasso as lasso_module
 from fieldnet import solver as solver_module
 from fieldnet.arrays import vec
 from fieldnet.solver import (
@@ -329,10 +330,10 @@ class TestFactorFits:
         gram = block.gram().submatrix(np.arange(2))
         solved_on = []
 
-        def spy(v, *args, column_lasso=solver_module._column_lasso):
+        def spy(v, *args, column_lasso=lasso_module._column_lasso):
             solved_on.append(v.copy())
             return column_lasso(v, *args)
-        monkeypatch.setattr(solver_module, "_column_lasso", spy)
+        monkeypatch.setattr(lasso_module, "_column_lasso", spy)
         lam = 0.2 * float(np.abs(a @ y))
         warm = np.array([1.5, -0.5])
         fit = fit_component(block, y, lam, np.ones(2), warm)
@@ -631,12 +632,12 @@ class TestResidualBookkeeping:
                 full_applies.append(1)
             return apply(self, coef)
 
-        def counting_lasso(v, *args, column_lasso=solver_module._column_lasso):
+        def counting_lasso(v, *args, column_lasso=lasso_module._column_lasso):
             rounds.append(len(v))
             return column_lasso(v, *args)
 
         monkeypatch.setattr(type(gram), "apply", counting)
-        monkeypatch.setattr(solver_module, "_column_lasso", counting_lasso)
+        monkeypatch.setattr(lasso_module, "_column_lasso", counting_lasso)
         # high enough that W stays small next to the block
         lam = 0.7 * float(np.abs(block.weighted_adjoint(design.target)).max())
         for n in (1, 30):
@@ -911,6 +912,27 @@ class TestMrce:
         # precision is symmetric positive definite
         assert np.array_equal(res.precision.omega, res.precision.omega.T)
         assert np.linalg.eigvalsh(res.precision.omega).min() > 0
+
+    def test_path_rule_scales_to_the_weighted_design(self, rng):
+        # the path keeps its length and ratio and starts at the weighted
+        # design's zero-solution level under the penalty's own weights, and
+        # the second round runs the rule on the first round's precision
+        grid, basis, design = self.make_sim(het=True)
+        penalty = PenaltySpec(default_lambda_path(lambda_max(design), 4, 1e-1),
+                              weights_stimulus=np.linspace(0.5, 2.0, basis.p_t),
+                              weights_memory=np.array(3.0), nu=0.05)
+        weighted = design.with_omega(random_precision(rng, grid.n_pixels))
+        scaled = penalty.scaled_to(weighted)
+        path, weights = scaled.lambda_path, penalty.weights_for(basis)
+        assert path.size == 4
+        assert path[-1] / path[0] == pytest.approx(0.1, rel=1e-12)
+        assert path[0] == lambda_max(weighted, weights) != lambda_max(weighted)
+        assert scaled.nu == penalty.nu and scaled.weights_stimulus is penalty.weights_stimulus
+        fit = fit_penalized(weighted, path[0], weights)
+        assert not any(np.any(a) for a in fit.coeffs.arrays())
+        res = mrce_loop(design, penalty)
+        want = penalty.scaled_to(design.with_omega(res.precision.omega)).lambda_path
+        assert np.array_equal(res.second.lambda_path, want)
 
     def test_huge_nu_gives_diagonal_precision(self, rng):
         grid, basis, design = self.make_sim()
