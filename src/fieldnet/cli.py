@@ -42,10 +42,6 @@ from .solver import (
 from .summary import compute_degree_maps, compute_separation_profile, weight_density
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _write_manifest(out_dir, command, cfg, outputs):
     run_id = hashlib.sha256(cfg.raw + command.encode()).hexdigest()[:12]
     manifest = {
@@ -55,7 +51,7 @@ def _write_manifest(out_dir, command, cfg, outputs):
         "config_sha256": cfg.sha256(),
         "fieldnet_version": __version__,
         "numpy_version": np.__version__,
-        "outputs": sorted(outputs),
+        "outputs": sorted([*outputs, "manifest.json"]),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -111,7 +107,7 @@ def cmd_simulate(cfg, out_dir):
         outputs["truth_eta.dta1"] = truth.eta
     for name, arr in outputs.items():
         write_dta1(out_dir / name, arr)
-    _write_manifest(out_dir, "simulate", cfg, list(outputs) + ["manifest.json"])
+    _write_manifest(out_dir, "simulate", cfg, outputs)
     print(f"simulated {grid.n_x}x{grid.n_y}x{grid.n_frames} field -> {out_dir}")
     return 0
 
@@ -221,7 +217,7 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         note = {"status": "diverged", "error": str(exc)}
         (out_dir / "report.json").write_text(json.dumps(note, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out_dir, "fit", cfg, ["report.json", "manifest.json"])
+        _write_manifest(out_dir, "fit", cfg, ["report.json"])
         raise
     elapsed = time.perf_counter() - started
     _warn_unconverged(result, opts)
@@ -261,24 +257,19 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
         )
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     outputs.append("report.json")
-    _write_manifest(out_dir, "fit", cfg, outputs + ["manifest.json"])
+    _write_manifest(out_dir, "fit", cfg, outputs)
     print(f"fitted {len(result.fits)} penalty levels -> {out_dir}", file=sys.stderr)
     print(f"wall clock: {elapsed:.2f}s", file=sys.stderr)
     return 0
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """One row per entry of the broadcast columns, in row-major order."""
+    columns = np.broadcast_arrays(*columns)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-
-
-def _map_rows(grid, values):
-    for i, x in enumerate(grid.x_centers):
-        for j, y in enumerate(grid.y_centers):
-            yield (i, j, float(x), float(y), float(values[i, j]))
+        writer.writerows(zip(*(c.ravel().tolist() for c in columns)))
 
 
 def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
@@ -300,47 +291,35 @@ def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
                                  for name in ("alpha", "beta", "gamma")))
     beta = coeffs.beta
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     maps = compute_degree_maps(beta, basis)
-    header = ["x_index", "y_index", "x", "y", "value"]
-    for name, vals in (("w_in", maps.w_in), ("w_out", maps.w_out),
-                       ("deg_in", maps.deg_in), ("deg_out", maps.deg_out)):
-        _write_csv(out_dir / f"{name}.csv", header, _map_rows(grid, vals))
-
     prof = compute_separation_profile(beta, basis)
-    rows = [
-        (si, ti, float(s), float(t), float(prof.table[si, ti]))
-        for si, s in enumerate(prof.s_values)
-        for ti, t in enumerate(prof.t_values)
-    ]
-    _write_csv(out_dir / "separation.csv", ["s_index", "t_index", "s", "delay", "value"], rows)
-
     dens = weight_density(beta, basis)
-    rows = [
-        (di, vi, float(dens.delay_edges[di]), float(dens.delay_edges[di + 1]),
-         float(dens.value_edges[vi]), float(dens.value_edges[vi + 1]),
-         int(dens.counts[di, vi]))
-        for di in range(dens.counts.shape[0])
-        for vi in range(dens.counts.shape[1])
-    ]
-    _write_csv(
-        out_dir / "density.csv",
-        ["delay_bin", "value_bin", "delay_lo", "delay_hi", "value_lo", "value_hi", "count"],
-        rows,
-    )
-
-    stim = stimulus_frames(coeffs, basis)
-    rows = (
-        (i, j, float(t), float(stim[i, j, k]))
-        for k, t in enumerate(grid.model_times)
-        for i in range(grid.n_x)
-        for j in range(grid.n_y)
-    )
-    _write_csv(out_dir / "stimulus.csv", ["x_index", "y_index", "t", "value"], rows)
-
-    names = ["w_in.csv", "w_out.csv", "deg_in.csv", "deg_out.csv",
-             "separation.csv", "density.csv", "stimulus.csv"]
-    _write_manifest(out_dir, "summarize", cfg, names + ["manifest.json"])
+    stim = stimulus_frames(coeffs, basis).transpose(2, 0, 1)  # time-major rows
+    i, j = np.indices((grid.n_x, grid.n_y))
+    si, ti = np.indices(prof.table.shape)
+    di, vi = np.indices(dens.counts.shape)
+    k, ki, kj = np.indices(stim.shape)
+    map_columns = [i, j, grid.x_centers[i], grid.y_centers[j]]
+    map_header = ["x_index", "y_index", "x", "y", "value"]
+    tables = {
+        "w_in.csv": (map_header, [*map_columns, maps.w_in]),
+        "w_out.csv": (map_header, [*map_columns, maps.w_out]),
+        "deg_in.csv": (map_header, [*map_columns, maps.deg_in]),
+        "deg_out.csv": (map_header, [*map_columns, maps.deg_out]),
+        "separation.csv": (["s_index", "t_index", "s", "delay", "value"],
+                           [si, ti, prof.s_values[si], prof.t_values[ti], prof.table]),
+        "density.csv": (["delay_bin", "value_bin", "delay_lo", "delay_hi",
+                         "value_lo", "value_hi", "count"],
+                        [di, vi, dens.delay_edges[di], dens.delay_edges[di + 1],
+                         dens.value_edges[vi], dens.value_edges[vi + 1],
+                         dens.counts.astype(np.int64)]),
+        "stimulus.csv": (["x_index", "y_index", "t", "value"],
+                         [ki, kj, grid.model_times[k], stim]),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, columns) in tables.items():
+        _write_csv(out_dir / name, header, columns)
+    _write_manifest(out_dir, "summarize", cfg, tables)
     print(f"summaries for lambda index {idx} -> {out_dir}")
     return 0
 

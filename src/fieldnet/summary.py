@@ -61,9 +61,8 @@ def compute_degree_maps(beta, basis, eps=None):
     deg_out = nonzero.sum(axis=(0, 1, 4)) * cell
     sum_in = absw.sum(axis=(2, 3, 4)) * cell
     sum_out = absw.sum(axis=(0, 1, 4)) * cell
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w_in = np.where(deg_in > 0, sum_in / np.where(deg_in > 0, deg_in, 1.0), 0.0)
-        w_out = np.where(deg_out > 0, sum_out / np.where(deg_out > 0, deg_out, 1.0), 0.0)
+    w_in = np.divide(sum_in, deg_in, out=np.zeros_like(sum_in), where=deg_in > 0)
+    w_out = np.divide(sum_out, deg_out, out=np.zeros_like(sum_out), where=deg_out > 0)
     return DegreeMaps(deg_in=deg_in, deg_out=deg_out, w_in=w_in, w_out=w_out)
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -221,6 +222,66 @@ class TestFitAndSummarize:
             assert len(rows) == 1 + grid.n_pixels
         stim = (summ / "stimulus.csv").read_text().strip().splitlines()
         assert len(stim) == 1 + grid.n_pixels * grid.n_steps
+
+    def test_summary_tables_read_back(self, pipeline):
+        """Every summary CSV holds the summary arrays at the summarized level
+        exactly, in the documented row order, with ``\\r\\n`` row ends."""
+        from fieldnet.bases import DriftCoefficients, stimulus_frames
+        from fieldnet.summary import (compute_degree_maps, compute_separation_profile,
+                                      weight_density)
+
+        _, fit, summ = pipeline
+        cfg = load_config(QUICKSTART)
+        grid, basis = make_grid(cfg), make_basis(cfg)
+        best = json.loads((fit / "report.json").read_text())["best_index"]
+        sub = fit / f"lambda_{best:02d}"
+        coeffs = DriftCoefficients(*(read_dta1(sub / f"{name}.dta1")
+                                     for name in ("alpha", "beta", "gamma")))
+        maps = compute_degree_maps(coeffs.beta, basis)
+        prof = compute_separation_profile(coeffs.beta, basis)
+        dens = weight_density(coeffs.beta, basis)
+        stim = stimulus_frames(coeffs, basis)
+        assert np.abs(stim).max() > 0 and np.abs(maps.w_in).max() > 0
+
+        map_header = ["x_index", "y_index", "x", "y", "value"]
+        expected = {
+            f"{name}.csv": (map_header, [(i, j, x, y, vals[i, j])
+                                         for i, x in enumerate(grid.x_centers)
+                                         for j, y in enumerate(grid.y_centers)])
+            for name, vals in (("w_in", maps.w_in), ("w_out", maps.w_out),
+                               ("deg_in", maps.deg_in), ("deg_out", maps.deg_out))
+        }
+        expected["separation.csv"] = (
+            ["s_index", "t_index", "s", "delay", "value"],
+            [(si, ti, s, t, prof.table[si, ti])
+             for si, s in enumerate(prof.s_values) for ti, t in enumerate(prof.t_values)],
+        )
+        expected["density.csv"] = (
+            ["delay_bin", "value_bin", "delay_lo", "delay_hi", "value_lo", "value_hi", "count"],
+            [(di, vi, dens.delay_edges[di], dens.delay_edges[di + 1],
+              dens.value_edges[vi], dens.value_edges[vi + 1], int(dens.counts[di, vi]))
+             for di in range(dens.counts.shape[0]) for vi in range(dens.counts.shape[1])],
+        )
+        expected["stimulus.csv"] = (
+            ["x_index", "y_index", "t", "value"],
+            [(i, j, t, stim[i, j, k]) for k, t in enumerate(grid.model_times)
+             for i in range(grid.n_x) for j in range(grid.n_y)],
+        )
+
+        def cell_matches(text, want):
+            # integers print as integers; floats round-trip exactly
+            return text == str(want) if isinstance(want, int) else float(text) == want
+
+        for name, (header, rows) in expected.items():
+            lines = (summ / name).read_bytes().split(b"\r\n")
+            assert lines[-1] == b"" and len(lines) == len(rows) + 2, name
+            assert not any(b"\r" in line or b"\n" in line for line in lines), name
+            with open(summ / name, newline="") as fh:
+                got_header, *got_rows = csv.reader(fh)
+            assert got_header == header, name
+            for r, (got, want) in enumerate(zip(got_rows, rows)):
+                assert len(got) == len(want), (name, r)
+                assert all(map(cell_matches, got, want)), (name, r, got, want)
 
     def test_recovery_line_reports_the_best_index(self, pipeline, tmp_path, capsys):
         sim, _, _ = pipeline
