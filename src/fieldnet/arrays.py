@@ -8,8 +8,10 @@ all modes computes a Kronecker-structured matrix-vector product
 
     (X_d kron ... kron X_1) vec(A) = vec(rho(X_d, ... rho(X_1, A)))
 
-without ever forming the Kronecker matrix.  ``rho_transposed`` is the
-adjoint, used for gradient evaluation.
+without ever forming the Kronecker matrix.  In column-major order,
+reversing an array's modes is numpy's ``.T``, so the adjoint, used for
+gradient evaluation, is ``rho_transposed(x, b) == rho(x.T, b.T).T`` and
+``rho`` is the package's only mode transform.
 """
 
 from __future__ import annotations
@@ -24,15 +26,6 @@ from .errors import ShapeError
 def vec(a):
     """Column-major flatten."""
     return np.asarray(a, dtype=np.float64).ravel(order="F")
-
-
-def unvec(v, shape):
-    """Column-major reshape of a flat vector."""
-    v = np.asarray(v, dtype=np.float64)
-    shape = tuple(int(n) for n in shape)
-    if v.size != int(np.prod(shape)):
-        raise ShapeError(f"cannot reshape {v.size} values to {shape}")
-    return v.reshape(shape, order="F")
 
 
 def rho(x, a):
@@ -61,19 +54,7 @@ def rho_transposed(x, b):
     Satisfies ``<rho(x, a), b> == <a, rho_transposed(x, b)>`` exactly in
     exact arithmetic.
     """
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a matrix factor, got ndim={x.ndim}")
-    if b.ndim == 0:
-        raise ShapeError("operand must have at least one mode")
-    n, p = x.shape
-    if b.shape[-1] != n:
-        raise ShapeError(f"factor has {n} rows but operand last-mode size is {b.shape[-1]}")
-    moved = np.moveaxis(b, -1, 0)
-    rest = moved.shape[1:]
-    out = x.T @ moved.reshape(n, -1, order="F")
-    return out.reshape((p,) + rest, order="F")
+    return rho(np.asarray(x).T, np.asarray(b).T).T
 
 
 def rho_chain(factors, a):

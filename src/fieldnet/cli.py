@@ -166,14 +166,12 @@ def _write_fit_artifacts(out_dir, result, suffix=""):
     return outputs
 
 
-# an overflow or invalid operation is a numerical failure, not a warning
-@np.errstate(over="raise", invalid="raise")
 def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     grid = make_grid(cfg)
     basis = make_basis(cfg)
     pen_cfg = cfg.sections["penalty"]
     n_lambdas = pen_cfg["n_lambdas"]
-    use_mrce = cfg.get("solver", "mrce", False)
+    use_mrce = cfg.sections["solver"]["mrce"]
     if lambda_index is None:
         lambda_index = cfg.get("solver", "mrce_lambda_index")
     if lambda_index is not None and not 0 <= lambda_index < n_lambdas:
@@ -361,6 +359,8 @@ def _build_parser():
     return parser
 
 
+# overflow, invalid operations and division by zero are failures, not warnings
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -372,17 +372,14 @@ def main(argv=None):
         if args.command == "fit":
             return cmd_fit(cfg, args.data, out_dir, lambda_index=args.lambda_index,
                            truth_beta=args.truth_beta)
-        if args.command == "summarize":
-            return cmd_summarize(cfg, args.fit, out_dir, lambda_index=args.lambda_index)
-        parser.error(f"unknown command {args.command}")
+        return cmd_summarize(cfg, args.fit, out_dir, lambda_index=args.lambda_index)
     except (ConfigError, ShapeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
     except (DivergenceError, InvalidCovarianceError, FieldnetError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    return 0
+            FloatingPointError, OverflowError) as exc:
+        code, message = 3, f"numerical failure: {exc}"
+    print(*message.splitlines(), file=sys.stderr)  # one line, whatever the message holds
+    return code
 
 
 if __name__ == "__main__":

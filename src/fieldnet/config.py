@@ -128,10 +128,12 @@ def _coerce(section, key, text):
                                       and not text.is_integer()):
             raise ValueError(text)
         value = kind(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {text!r} as {kind.__name__}") from exc
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be finite, got {text!r}")
+    if kind is str and "\0" in value:
+        raise ConfigError(f"[{section}] {key}: must not contain a NUL byte")
     return value
 
 
@@ -153,7 +155,9 @@ def load_config(path):
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object of sections")
     else:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no interpolation: INI values are read literally, as JSON's are
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:
@@ -235,11 +239,10 @@ def stimulus_weight_profile(spec_t, onset, offset, window, low_weight=0.1):
 
 def stimulus_weights(cfg, basis):
     """Per-coefficient stimulus weights from the onset/offset hook, or None."""
-    p = cfg.sections.get("penalty", {})
+    p = cfg.sections["penalty"]
     start, stop = p.get("stim_start"), p.get("stim_stop")
     if start is None and stop is None:
         return None
-    profile = stimulus_weight_profile(
-        basis.spec_t, start, stop, p.get("stim_window", 0.1), p.get("stim_weight", 0.1)
-    )
+    profile = stimulus_weight_profile(basis.spec_t, start, stop, p["stim_window"],
+                                      p["stim_weight"])
     return np.broadcast_to(profile, basis.coef_shapes["stimulus"])

@@ -7,7 +7,6 @@ from fieldnet.arrays import (
     rho_chain,
     rho_transposed,
     rho_transposed_chain,
-    unvec,
     vec,
     write_dta1,
 )
@@ -68,6 +67,26 @@ class TestRhoTransposed:
         rhs = vec(rho_transposed_chain(factors, b))
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_random_chains_match_kronecker(self, rng, layout):
+        # the adjoint runs rho on transposed operands, so check it on every
+        # memory layout an operand can arrive in, size-1 modes included
+        chains = [[(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+                   for _ in range(int(rng.integers(1, 5)))] for _ in range(30)]
+        chains += [[(1, 3)], [(4, 1), (1, 1)], [(1, 2), (3, 1), (1, 1), (2, 2)]]
+        for dims in chains:
+            d = len(dims)
+            factors = [rng.standard_normal(s) for s in dims]
+            shape = [s[0] for s in dims]
+            if layout == "strided":
+                b = rng.standard_normal([2 * n for n in shape])[(slice(None, None, 2),) * d]
+            else:
+                b = np.asarray(rng.standard_normal(shape), order=layout)
+            lhs = kron_matrix(factors).T @ vec(b)
+            rhs = vec(rho_transposed_chain(factors, b))
+            scale = max(1.0, np.abs(lhs).max())
+            assert np.abs(lhs - rhs).max() <= 1e-10 * scale
+
     def test_adjoint_identity(self, rng):
         for _ in range(20):
             d = int(rng.integers(1, 5))
@@ -112,7 +131,3 @@ class TestDta1:
         path.write_bytes(b"NOPE 1 3\n" + b"\0" * 24)
         with pytest.raises(ValueError):
             read_dta1(path)
-
-    def test_unvec_roundtrip(self, rng):
-        a = rng.standard_normal((4, 3))
-        assert np.array_equal(unvec(vec(a), (4, 3)), a)

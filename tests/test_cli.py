@@ -43,6 +43,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[run\] seed"):
             load_config(path)
 
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        doc = {sec: dict(body) for sec, body in load_config(QUICKSTART).sections.items()}
+        doc["grid"]["x_hi"] = 10**400
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=r"\[grid\] x_hi"):
+            load_config(path)
+
     def test_ini_and_json_equivalent(self, tmp_path):
         cfg = load_config(QUICKSTART)
         doc = {sec: dict(body) for sec, body in cfg.sections.items()}
