@@ -24,7 +24,7 @@ from .arrays import read_dta1, write_dta1
 from .bases import DriftCoefficients, stimulus_frames
 from .config import load_config, make_basis, make_grid, make_solver_options, stimulus_weights
 from .design import build_design, naive_var_parameter_count
-from .errors import ConfigError, DivergenceError, FieldnetError, InvalidCovarianceError, ShapeError
+from .errors import ConfigError, DivergenceError, FieldnetError, ShapeError
 from .simulate import (
     SimConfig,
     build_noise_covariance,
@@ -86,7 +86,11 @@ def _noise_model(cfg, grid):
         return None
     cov = (white_covariance(sim["noise_scale"]) if sim["noise"] == "white"
            else gaussian_covariance(sim["noise_length"], sim["noise_scale"]))
-    return build_noise_covariance(cov, grid)
+    try:
+        return build_noise_covariance(cov, grid)
+    except OverflowError as exc:  # the covariance scales with the squared cell area
+        raise ConfigError(f"[grid] x_lo, x_hi, y_lo, y_hi: cell area {grid.cell_area:g} is "
+                          f"too large, its square overflows the noise covariance") from exc
 
 
 def cmd_simulate(cfg, out_dir):
@@ -171,7 +175,6 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
     basis = make_basis(cfg)
     pen_cfg = cfg.sections["penalty"]
     n_lambdas = pen_cfg["n_lambdas"]
-    use_mrce = cfg.sections["solver"]["mrce"]
     if lambda_index is None:
         lambda_index = cfg.get("solver", "mrce_lambda_index")
     if lambda_index is not None and not 0 <= lambda_index < n_lambdas:
@@ -203,14 +206,9 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
 
     started = time.perf_counter()
     try:
-        if use_mrce:
-            mrce = mrce_loop(design, penalty, opts, lambda_index=lambda_index)
-            result = mrce.second
-            omega = mrce.precision.omega
-        else:
-            result = fit_block_relaxation(design, penalty, options=opts)
-            mrce = None
-            omega = None
+        mrce = (mrce_loop(design, penalty, opts, lambda_index=lambda_index)
+                if cfg.sections["solver"]["mrce"] else None)
+        result = fit_block_relaxation(design, penalty, options=opts) if mrce is None else mrce.second
     except DivergenceError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         note = {"status": "diverged", "error": str(exc)}
@@ -219,21 +217,18 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
         raise
     elapsed = time.perf_counter() - started
     _warn_unconverged(result, opts)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = _write_fit_artifacts(out_dir, result)
+    report = build_report(result, basis, grid)
     if mrce is not None:
         _warn_unconverged(mrce.first, opts, label="first-round lambda index")
         if not mrce.precision.converged:
             print(f"warning: graphical lasso did not converge within "
                   f"{mrce.precision.n_sweeps} sweeps (dual gap {mrce.precision.dual_gap:.3g})",
                   file=sys.stderr)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_fit_artifacts(out_dir, result)
-    if mrce is not None:
         outputs += _write_fit_artifacts(out_dir, mrce.first, suffix="_unweighted")
-        write_dta1(out_dir / "omega.dta1", omega)
+        write_dta1(out_dir / "omega.dta1", mrce.precision.omega)
         outputs.append("omega.dta1")
-    report = build_report(result, basis, grid)
-    if mrce is not None:
         report["mrce"] = {
             "lambda_index": mrce.lambda_index,
             "precision_nonzero": mrce.precision.n_nonzero,
@@ -375,8 +370,9 @@ def main(argv=None):
         return cmd_summarize(cfg, args.fit, out_dir, lambda_index=args.lambda_index)
     except (ConfigError, ShapeError, OSError) as exc:
         code, message = 2, f"error: {exc}"
-    except (DivergenceError, InvalidCovarianceError, FieldnetError, np.linalg.LinAlgError,
-            FloatingPointError, OverflowError) as exc:
+    except MemoryError as exc:  # an input too large to allocate
+        code, message = 2, f"error: {exc}" if str(exc) else "error: out of memory"
+    except (FieldnetError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         code, message = 3, f"numerical failure: {exc}"
     print(*message.splitlines(), file=sys.stderr)  # one line, whatever the message holds
     return code

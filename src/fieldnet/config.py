@@ -22,46 +22,8 @@ from .errors import ConfigError
 from .solver import SolverOptions
 
 _REQUIRED_SECTIONS = ("run", "grid", "basis", "io")
-
-_SCHEMA = {
-    "run": {"seed": int},
-    "grid": {
-        "n_x": int, "n_y": int, "n_steps": int, "n_lags": int, "dt": float,
-        "x_lo": float, "x_hi": float, "y_lo": float, "y_hi": float,
-    },
-    "basis": {
-        "n_x_basis": int, "n_y_basis": int, "n_t_basis": int, "n_l_basis": int,
-        "degree_space": int, "degree_time": int, "degree_lag": int,
-        "stim_onset": float,
-    },
-    "simulate": {
-        "stimulus": str, "stimulus_scale": float, "stimulus_nonzeros": int,
-        "network_nonzeros": int, "network_scale": float, "memory_scale": float,
-        "noise": str, "noise_scale": float, "noise_length": float,
-    },
-    "solver": {
-        "tol_inner": float, "max_inner": int, "tol_outer": float,
-        "max_sweeps": int, "tol_rank1": float, "max_rank1": int,
-        "mrce": bool, "mrce_lambda_index": int,
-        "response": str,
-    },
-    "penalty": {
-        "n_lambdas": int, "lambda_min_ratio": float, "nu": float,
-        "stim_start": float, "stim_stop": float, "stim_weight": float,
-        "stim_window": float,
-    },
-    "io": {"out_dir": str, "data": str},
-}
-
-_DEFAULTS = {
-    "grid": {"x_lo": 0.0, "x_hi": 1.0, "y_lo": 0.0, "y_hi": 1.0},
-    "simulate": {"stimulus": "none", "stimulus_scale": 1.0, "stimulus_nonzeros": 4,
-                 "network_nonzeros": 0, "network_scale": 0.0, "memory_scale": 0.0,
-                 "noise": "none", "noise_scale": 0.0, "noise_length": 0.3},
-    "solver": {"mrce": False, "response": "levels"},
-    "penalty": {"n_lambdas": 10, "lambda_min_ratio": 1e-3, "nu": 0.1,
-                "stim_weight": 0.1, "stim_window": 0.1},
-}
+_REQUIRED = object()  # default of a key that must be given
+_INDEX = np.iinfo(np.intp)  # every integer key must fit numpy's index type
 
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
@@ -71,23 +33,42 @@ def _one_of(*choices):
     return (lambda v: v in choices), f"must be one of {', '.join(choices)}"
 
 
-# Allowed values, checked once defaults are filled in: (test, message).
-_RANGES = {
-    "run": {"seed": _NON_NEGATIVE},
+# section -> key -> (type, default[, rule]).  A default of None leaves the
+# key absent; a rule is a (test, message) pair checked on the final value.
+_SCHEMA = {
+    "run": {"seed": (int, _REQUIRED, _NON_NEGATIVE)},
+    "grid": {
+        "n_x": (int, _REQUIRED), "n_y": (int, _REQUIRED), "n_steps": (int, _REQUIRED),
+        "n_lags": (int, _REQUIRED), "dt": (float, _REQUIRED),
+        "x_lo": (float, 0.0), "x_hi": (float, 1.0), "y_lo": (float, 0.0), "y_hi": (float, 1.0),
+    },
+    "basis": {
+        "n_x_basis": (int, None), "n_y_basis": (int, None), "n_t_basis": (int, None),
+        "n_l_basis": (int, None), "degree_space": (int, None), "degree_time": (int, None),
+        "degree_lag": (int, None), "stim_onset": (float, None),
+    },
     "simulate": {
-        "stimulus": _one_of("none", "rank1"), "stimulus_nonzeros": _NON_NEGATIVE,
-        "network_nonzeros": _NON_NEGATIVE, "noise": _one_of("none", "white", "gaussian"),
-        "noise_scale": _NON_NEGATIVE, "noise_length": (lambda v: v > 0, "must be positive"),
+        "stimulus": (str, "none", _one_of("none", "rank1")), "stimulus_scale": (float, 1.0),
+        "stimulus_nonzeros": (int, 4, _NON_NEGATIVE), "network_nonzeros": (int, 0, _NON_NEGATIVE),
+        "network_scale": (float, 0.0), "memory_scale": (float, 0.0),
+        "noise": (str, "none", _one_of("none", "white", "gaussian")),
+        "noise_scale": (float, 0.0, _NON_NEGATIVE),
+        "noise_length": (float, 0.3, (lambda v: v > 0, "must be positive")),
     },
     "solver": {
-        "tol_inner": _NON_NEGATIVE, "max_inner": _AT_LEAST_ONE, "tol_outer": _NON_NEGATIVE,
-        "max_sweeps": _AT_LEAST_ONE, "tol_rank1": _NON_NEGATIVE, "max_rank1": _AT_LEAST_ONE,
-        "response": _one_of("levels"),
+        "tol_inner": (float, None, _NON_NEGATIVE), "max_inner": (int, None, _AT_LEAST_ONE),
+        "tol_outer": (float, None, _NON_NEGATIVE), "max_sweeps": (int, None, _AT_LEAST_ONE),
+        "tol_rank1": (float, None, _NON_NEGATIVE), "max_rank1": (int, None, _AT_LEAST_ONE),
+        "mrce": (bool, False), "mrce_lambda_index": (int, None),
+        "response": (str, "levels", _one_of("levels")),
     },
     "penalty": {
-        "n_lambdas": _AT_LEAST_ONE, "nu": _NON_NEGATIVE, "stim_weight": _NON_NEGATIVE,
-        "lambda_min_ratio": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+        "n_lambdas": (int, 10, _AT_LEAST_ONE), "nu": (float, 0.1, _NON_NEGATIVE),
+        "lambda_min_ratio": (float, 1e-3, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
+        "stim_start": (float, None), "stim_stop": (float, None),
+        "stim_weight": (float, 0.1, _NON_NEGATIVE), "stim_window": (float, 0.1),
     },
+    "io": {"out_dir": (str, _REQUIRED), "data": (str, None)},
 }
 
 
@@ -111,9 +92,9 @@ class RunConfig:
 
 
 def _coerce(section, key, text):
-    kind = _SCHEMA[section].get(key)
-    if kind is None:
+    if key not in _SCHEMA[section]:
         raise ConfigError(f"[{section}] {key}: unknown key")
+    kind = _SCHEMA[section][key][0]
     try:
         if kind is bool:
             if isinstance(text, bool):
@@ -130,6 +111,8 @@ def _coerce(section, key, text):
         value = kind(text)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {text!r} as {kind.__name__}") from exc
+    if kind is int and not _INDEX.min <= value <= _INDEX.max:
+        raise ConfigError(f"[{section}] {key}: does not fit numpy's index type, got {text!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be finite, got {text!r}")
     if kind is str and "\0" in value:
@@ -171,24 +154,20 @@ def load_config(path):
         if not isinstance(body, dict):
             raise ConfigError(f"[{name}]: must be an object")
         sections[name] = {key: _coerce(name, key, value) for key, value in body.items()}
-    explicit = frozenset(sections)
-    for name, defaults in _DEFAULTS.items():
-        body = sections.setdefault(name, {})
-        for key, value in defaults.items():
-            body.setdefault(key, value)
-    missing = [s for s in _REQUIRED_SECTIONS if s not in explicit]
+    missing = [s for s in _REQUIRED_SECTIONS if s not in sections]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
-    for section, rules in _RANGES.items():
-        for key, (allowed, rule) in rules.items():
-            value = sections[section].get(key)
-            if value is not None and not allowed(value):
-                raise ConfigError(f"[{section}] {key}: {rule}, got {value!r}")
-    for section, keys in (("run", ("seed",)), ("grid", ("n_x", "n_y", "n_steps", "n_lags", "dt")),
-                          ("io", ("out_dir",))):
-        for key in keys:
-            if key not in sections[section]:
-                raise ConfigError(f"[{section}] {key}: required key missing")
+    explicit = frozenset(sections)
+    for name, keys in _SCHEMA.items():
+        body = sections.setdefault(name, {})
+        for key, (_, default, *rule) in keys.items():
+            if default is _REQUIRED and key not in body:
+                raise ConfigError(f"[{name}] {key}: required key missing")
+            if default is not None:
+                body.setdefault(key, default)
+            for allowed, message in rule:
+                if key in body and not allowed(body[key]):
+                    raise ConfigError(f"[{name}] {key}: {message}, got {body[key]!r}")
     cfg = RunConfig(sections=sections, raw=raw, explicit=explicit)
     make_grid(cfg)  # validates dimensions early
     return cfg

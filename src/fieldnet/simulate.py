@@ -104,8 +104,12 @@ def build_noise_covariance(covariance_fn, grid):
 
 
 def gaussian_covariance(length, amplitude=1.0):
-    """Isotropic squared-exponential covariance of the displacement."""
-    ell2 = 2.0 * float(length) ** 2
+    """Isotropic squared-exponential covariance of the displacement; a
+    length whose square overflows gives the fully correlated limit."""
+    try:
+        ell2 = 2.0 * float(length) ** 2
+    except OverflowError:
+        ell2 = np.inf
 
     def cov(u, v):
         return amplitude * np.exp(-(np.asarray(u) ** 2 + np.asarray(v) ** 2) / ell2)

@@ -6,13 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fieldnet import cli
 from fieldnet.arrays import read_dta1, write_dta1
 from fieldnet.cli import main
-from fieldnet.config import load_config, make_basis, make_grid
+from fieldnet.config import _REQUIRED, _SCHEMA, load_config, make_basis, make_grid
 from fieldnet.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
 QUICKSTART = REPO / "configs" / "quickstart.ini"
+SHIPPED_CONFIGS = [QUICKSTART, *sorted((REPO / "perfbench" / "configs").glob("*.ini"))]
+RULES = [(section, key, spec[2]) for section, body in _SCHEMA.items()
+         for key, spec in body.items() if len(spec) > 2]
+REQUIRED_KEYS = [(section, key) for section, body in _SCHEMA.items()
+                 for key, spec in body.items() if spec[1] is _REQUIRED]
 
 
 def write_config(tmp_path, name="cfg.ini", **overrides):
@@ -21,6 +27,18 @@ def write_config(tmp_path, name="cfg.ini", **overrides):
         text = text.replace(f"{key} = ", f"{key} = {value} #", 1)
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def quickstart_json(tmp_path, section, key, value=None):
+    """Quickstart as a JSON file with one key set to ``value`` (or removed,
+    for None)."""
+    doc = {sec: dict(body) for sec, body in load_config(QUICKSTART).sections.items()}
+    doc[section].pop(key, None)
+    if value is not None:
+        doc[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -51,13 +69,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[grid\] x_hi"):
             load_config(path)
 
-    def test_ini_and_json_equivalent(self, tmp_path):
-        cfg = load_config(QUICKSTART)
+    @staticmethod
+    def assert_json_round_trip(tmp_path, config):
+        cfg = load_config(config)
         doc = {sec: dict(body) for sec, body in cfg.sections.items()}
         jpath = tmp_path / "cfg.json"
         jpath.write_text(json.dumps(doc))
         cfg2 = load_config(jpath)
         assert cfg2.sections == cfg.sections
+
+    def test_ini_and_json_equivalent(self, tmp_path):
+        self.assert_json_round_trip(tmp_path, QUICKSTART)
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS,
+                             ids=[f"{p.parent.name}/{p.name}" for p in SHIPPED_CONFIGS])
+    def test_every_shipped_config_ini_and_json_equivalent(self, tmp_path, config):
+        self.assert_json_round_trip(tmp_path, config)
+
+    @pytest.mark.parametrize("section,key,rule", RULES,
+                             ids=[f"{section}.{key}" for section, key, _ in RULES])
+    def test_every_rule_names_its_key(self, tmp_path, section, key, rule):
+        allowed, _ = rule
+        candidates = {int: [-1, 0], float: [-1.0, 0.0, 2.0], str: ["bogus"]}
+        bad = next(v for v in candidates[_SCHEMA[section][key][0]] if not allowed(v))
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            load_config(quickstart_json(tmp_path, section, key, bad))
+
+    @pytest.mark.parametrize("section,key", REQUIRED_KEYS,
+                             ids=[f"{section}.{key}" for section, key in REQUIRED_KEYS])
+    def test_every_required_key_is_required(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: required key missing$"):
+            load_config(quickstart_json(tmp_path, section, key))
 
     def test_missing_section_rejected(self, tmp_path):
         text = QUICKSTART.read_text().replace("[grid]", "[gird]")
@@ -159,6 +201,18 @@ class TestSimulateCommand:
                             network_scale="4000.0", network_nonzeros="40")
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_window_too_large_for_the_noise_names_its_keys(self, tmp_path, capsys):
+        path = write_config(tmp_path, x_hi="1e300")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: [grid] x_lo, x_hi,"), lines
+
+    def test_overflowing_noise_length_is_the_fully_correlated_limit(self, tmp_path):
+        path = tmp_path / "noise.ini"
+        path.write_text(QUICKSTART.read_text().replace(
+            "noise = white", "noise = gaussian\nnoise_length = 1e300"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("noise", [
         "noise = white\nnoise_scale = -0.3",
@@ -394,6 +448,8 @@ BAD_CONFIG_VALUES = {
     "stimulus-unknown": ("simulate", {"stimulus": "rank2"}),
     "seed-negative": ("simulate", {"seed": "-1"}),
     "dt-nan": ("simulate", {"dt": "nan"}),
+    "n-lambdas-beyond-index-type": ("fit", {"n_lambdas": str(10**29)}),
+    "seed-beyond-index-type": ("simulate", {"seed": str(2**63)}),
 }
 
 
@@ -451,6 +507,21 @@ class TestFitInputErrors:
                      "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
         assert_single_error_line(capsys, prefix="numerical failure: ")
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()],
+                             ids=["numpy-message", "bare"])
+    def test_input_too_large_to_allocate_exits_2(self, pipeline, tmp_path, capsys,
+                                                 monkeypatch, exc):
+        # a stand-in for an allocation that fails: a test never allocates for real
+        def fail(*args, **kwargs):
+            raise exc
+
+        sim, _, _ = pipeline
+        monkeypatch.setattr(cli, "default_lambda_path", fail)
+        code = main(["fit", "--config", str(QUICKSTART),
+                     "--data", str(sim / "data.dta1"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_single_error_line(capsys, prefix=f"error: {exc}" if str(exc) else "error: out of")
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

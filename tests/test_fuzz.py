@@ -107,6 +107,7 @@ def _assert_clean_exit(code, lines):
 @example(fmt="ini", mutations=[(("simulate", "noise"), "gaussian"),
                                (("simulate", "noise_length"), 1e-300)])
 @example(fmt="json", mutations=[(("io", "out_dir"), "runs/a\0b")])
+@example(fmt="json", mutations=[(("grid", "n_steps"), 10**29)])
 @example(fmt="ini", mutations=[(("grid", "x_hi"), "\n0")])
 def test_simulate_on_mutated_config(fmt, mutations):
     sections = _quickstart_sections()
