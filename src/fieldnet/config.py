@@ -63,7 +63,9 @@ _SCHEMA = {
         "response": (str, "levels", _one_of("levels")),
     },
     "penalty": {
-        "n_lambdas": (int, 10, _AT_LEAST_ONE), "nu": (float, 0.1, _NON_NEGATIVE),
+        # numpy spaces the path in float64, which counts exactly up to 2**53
+        "n_lambdas": (int, 10, (lambda v: 1 <= v <= 2**53, "must lie in [1, 2**53]")),
+        "nu": (float, 0.1, _NON_NEGATIVE),
         "lambda_min_ratio": (float, 1e-3, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
         "stim_start": (float, None), "stim_stop": (float, None),
         "stim_weight": (float, 0.1, _NON_NEGATIVE), "stim_window": (float, 0.1),

@@ -11,6 +11,15 @@ none is left.  ``Wb`` is written back into row and column ``j``, the
 coefficients warm-start the next sweep, and the duality gap of the
 recovered precision matrix stops the loop.  Only off-diagonal entries
 are penalized, so large ``nu`` shrinks the estimate to ``diag(1 / S_ii)``.
+
+Screening: a variable ``i`` with ``|S_ij| <= nu`` for every ``j != i`` is
+a connected component of its own in the thresholded covariance, and the
+estimate is block diagonal over those components (Witten, Friedman &
+Simon 2011; Mazumder & Hastie 2012), so row ``i`` of ``Omega`` is zero
+off the diagonal and ``Omega_ii = 1 / S_ii``.  Such a variable's row and
+column of ``W`` start at zero off the diagonal, which keeps ``W`` in the
+dual box and positive definite, and its column is never swept: no other
+column's KKT pass can admit it, since its residual there is ``S_ij``.
 """
 
 from __future__ import annotations
@@ -96,10 +105,11 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
     The working covariance starts at ``S - t offdiag(S)``, ``t = min(0.05,
     nu / max_(i != j) |S_ij|)``: a convex combination of ``S`` and its
     diagonal inside the dual box, so positive definite and feasible even
-    for a rank-deficient ``S``.  Exits when the duality gap drops below
-    ``gap_tol``; an estimate that is not positive definite has no finite
-    gap, and a result that exhausts ``max_sweeps`` is flagged as not
-    converged.
+    for a rank-deficient ``S``; isolated variables' off-diagonal entries
+    then start at zero (screening, in the module docstring).  Exits when
+    the duality gap drops below ``gap_tol``; an estimate that is not
+    positive definite has no finite gap, and a result that exhausts
+    ``max_sweeps`` is flagged as not converged.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -125,6 +135,9 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
     top = np.abs(s[off_mask]).max(initial=0.0)
     w = s.copy()
     w[off_mask] *= 1 - (min(0.05, nu / top) if top > 0 else 0.05)
+    # Screening (module docstring): only linked variables are swept.
+    linked = ((np.abs(s) > nu) & off_mask).any(axis=0)
+    w[off_mask & ~np.outer(linked, linked)] = 0.0
     # Row j holds column j's lasso coefficients, with betas[j, j] = 0.
     betas = np.zeros((d, d))
 
@@ -135,7 +148,7 @@ def graphical_lasso(s, nu, max_sweeps=500, gap_tol=1e-6, max_inner=1000):
     n_solves = 0
     trace = []
     for sweep in range(1, max_sweeps + 1):
-        for j in range(d):
+        for j in np.flatnonzero(linked):
             beta = betas[j]
             sign = np.sign(beta)
             solves = 0

@@ -10,6 +10,15 @@ where ``S_k`` is the cell-aggregated stimulus, ``W_l`` are the lag weight
 matrices integrating the propagation function over target cells and lag
 intervals, ``h`` the cell-aggregated memory, and ``eps_k`` i.i.d. standard
 normal vectors mixed by the noise covariance matrix.
+
+The ``W_l`` are never formed: ``sum_l W_l V_{k+l}`` is the design's
+network block applied to one frame.  Each frame is contracted once with
+the source bases, and a step folds its window of ``L`` contracted frames
+with the lag integrals, applies ``beta`` and maps the result to the cells.
+With ``P = p_x p_y``, a step costs ``O(D P + P L p_l + P^2 p_l)`` for the
+network term instead of the ``O(D^2 L)`` of the dense matrices, plus
+``O(D^2)`` for the noise mixing.  :func:`build_weight_matrices` still
+assembles the ``W_l`` for inspection and checks.
 """
 
 from __future__ import annotations
@@ -105,14 +114,19 @@ def build_noise_covariance(covariance_fn, grid):
 
 def gaussian_covariance(length, amplitude=1.0):
     """Isotropic squared-exponential covariance of the displacement; a
-    length whose square overflows gives the fully correlated limit."""
+    length whose square overflows gives the fully correlated limit, and
+    one whose square underflows the white-noise limit."""
     try:
         ell2 = 2.0 * float(length) ** 2
     except OverflowError:
         ell2 = np.inf
+    if ell2 == 0:
+        return white_covariance(amplitude)
 
     def cov(u, v):
-        return amplitude * np.exp(-(np.asarray(u) ** 2 + np.asarray(v) ** 2) / ell2)
+        # a ratio that overflows is inf, whose exponential is the exact 0
+        with np.errstate(over="ignore"):
+            return amplitude * np.exp(-(np.asarray(u) ** 2 + np.asarray(v) ** 2) / ell2)
 
     return cov
 
@@ -163,7 +177,15 @@ def simulate_euler(config, coeffs, basis, noise=None):
 
     s_vec = grid.cell_area * stimulus_frames(coeffs, basis).reshape(d, n_steps, order="F")
     h_vec = grid.cell_area * memory_field(coeffs, basis).ravel(order="F")
-    weights = build_weight_matrices(coeffs.beta, basis).reshape(d, d * n_lags, order="F")
+    # Row f of ``contracted`` is frame f times ``phi_y kron phi_x``.  A lag
+    # window folded with ``int_l`` is ``(p_l, P)``, whose row-major ravel is
+    # beta's column-major coefficient order; ``int_y kron int_x`` maps the
+    # target coefficients to the cells.
+    source = np.kron(basis.phi_y, basis.phi_x)
+    cells = np.kron(basis.int_y, basis.int_x)
+    beta = coeffs.beta.reshape(source.shape[1], -1, order="F")
+    contracted = np.zeros((grid.n_frames, source.shape[1]))
+    contracted[: n_lags + 1] = traj[:, : n_lags + 1].T @ source
 
     eps = None
     if noise is not None:
@@ -173,13 +195,14 @@ def simulate_euler(config, coeffs, basis, noise=None):
 
     for k in range(n_steps):
         f = n_lags + k
-        lagged = traj[:, k : k + n_lags].ravel(order="F")
-        drift = s_vec[:, k] + weights @ lagged + h_vec * traj[:, f]
+        window = (basis.int_l.T @ contracted[k : k + n_lags]).ravel()
+        drift = s_vec[:, k] + cells @ (beta @ window) + h_vec * traj[:, f]
         nxt = traj[:, f] + drift * grid.dt
         if eps is not None:
             nxt = nxt + (noise.factor @ eps[:, k]) * sqdt
         if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > BLOWUP_THRESHOLD:
             raise DivergenceError(f"simulation diverged at step {k}", step=k)
         traj[:, f + 1] = nxt
+        np.matmul(nxt, source, out=contracted[f + 1])
 
     return traj.reshape(grid.n_x, grid.n_y, grid.n_frames, order="F")

@@ -13,6 +13,7 @@ from fieldnet.bases import eval_bspline_basis, network_values
 from fieldnet.errors import DivergenceError
 from fieldnet.lasso import soft_threshold
 from fieldnet.precision import glasso_objective, ridge_repair
+from fieldnet.simulate import build_weight_matrices
 from fieldnet.solver import (
     ComponentFit,
     SolverOptions,
@@ -111,6 +112,29 @@ def explicit_design(design, conv=None):
 def theta_vec(coeffs):
     """Stacked column-major coefficient vector matching explicit_design."""
     return np.concatenate([vec(coeffs.alpha), vec(coeffs.beta), vec(coeffs.gamma)])
+
+
+def dense_weight_euler(config, coeffs, basis, noise):
+    """Euler recursion with the dense ``(D, D, L)`` lag weight matrices of
+    ``build_weight_matrices``, one matrix-vector product per lag, and the
+    stimulus and memory fields summed out from the marginal bases."""
+    g = basis.grid
+    d, n_lags, n_steps = g.n_pixels, g.n_lags, g.n_steps
+    weights = build_weight_matrices(coeffs.beta, basis)
+    stim = np.einsum("ma,nb,kc,abc->mnk", basis.phi_x, basis.phi_y, basis.phi_t, coeffs.alpha)
+    stim = g.cell_area * stim.reshape(d, n_steps, order="F")
+    memory = g.cell_area * vec(basis.phi_x @ coeffs.gamma @ basis.phi_y.T)
+    eps = np.random.default_rng(config.seed).standard_normal((d, n_steps))
+    traj = np.zeros((d, g.n_frames))
+    traj[:, :n_lags] = config.history.reshape(d, n_lags, order="F")
+    traj[:, n_lags] = vec(config.initial_state)
+    for k in range(n_steps):
+        f = n_lags + k
+        drift = stim[:, k] + memory * traj[:, f]
+        for lag in range(n_lags):
+            drift = drift + weights[:, :, lag] @ traj[:, k + lag]
+        traj[:, f + 1] = traj[:, f] + drift * g.dt + noise.factor @ eps[:, k] * np.sqrt(g.dt)
+    return traj.reshape(g.n_x, g.n_y, g.n_frames, order="F")
 
 
 def _simpson_weights(a, b, n):

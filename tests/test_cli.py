@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldnet import cli
+from fieldnet import build_noise_covariance, cli, white_covariance
 from fieldnet.arrays import read_dta1, write_dta1
 from fieldnet.cli import main
 from fieldnet.config import _REQUIRED, _SCHEMA, load_config, make_basis, make_grid
@@ -213,6 +213,24 @@ class TestSimulateCommand:
         path.write_text(QUICKSTART.read_text().replace(
             "noise = white", "noise = gaussian\nnoise_length = 1e300"))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("length", ["1e-170", "1e-300", "1e-160"])
+    def test_underflowing_noise_length_is_the_white_limit(self, tmp_path, monkeypatch, length):
+        # 1e-170 and 1e-300 square to zero; 1e-160 squares to a subnormal
+        # that overflows the exponent's ratio
+        built = []
+
+        def record(cov, grid):
+            built.append(build_noise_covariance(cov, grid))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_noise_covariance", record)
+        path = tmp_path / "noise.ini"
+        path.write_text(QUICKSTART.read_text().replace(
+            "noise = white", f"noise = gaussian\nnoise_length = {length}"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        white = build_noise_covariance(white_covariance(0.3), make_grid(load_config(path)))
+        assert np.array_equal(built[0].c_tilde, white.c_tilde)
 
     @pytest.mark.parametrize("noise", [
         "noise = white\nnoise_scale = -0.3",
@@ -449,6 +467,8 @@ BAD_CONFIG_VALUES = {
     "seed-negative": ("simulate", {"seed": "-1"}),
     "dt-nan": ("simulate", {"dt": "nan"}),
     "n-lambdas-beyond-index-type": ("fit", {"n_lambdas": str(10**29)}),
+    "n-lambdas-2-to-the-61": ("fit", {"n_lambdas": str(2**61)}),
+    "n-lambdas-index-type-max": ("fit", {"n_lambdas": str(2**63 - 1)}),
     "seed-beyond-index-type": ("simulate", {"seed": str(2**63)}),
 }
 

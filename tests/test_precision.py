@@ -206,6 +206,57 @@ class TestActiveSetMatchesFullSweeps:
         self.assert_same_fit(s, 0.05 * np.abs(s).max())
 
 
+class TestScreening:
+    """Variables with no off-diagonal ``|s_ij| > nu`` are never swept."""
+
+    @staticmethod
+    def mixed_input(seed, nu, reach):
+        # six linked variables and four isolated ones, interleaved; every
+        # entry off the diagonal that touches an isolated one lies within
+        # reach * nu of zero
+        loc = np.random.default_rng(seed)
+        linked, isolated = [0, 2, 3, 5, 7, 8], [1, 4, 6, 9]
+        s = np.diag(loc.uniform(1.0, 2.0, 10))
+        s[np.ix_(linked, linked)] = random_spd(loc, 6, n=12)
+        small = np.triu(loc.uniform(-reach * nu, reach * nu, (10, 10)), 1)
+        touches = np.zeros((10, 10), dtype=bool)
+        touches[isolated] = touches[:, isolated] = True
+        return s + (small + small.T) * touches, linked, isolated
+
+    def test_mixed_input_matches_full_sweeps(self):
+        nu = 0.1
+        off = ~np.eye(10, dtype=bool)
+        for seed in range(3):
+            s, linked, isolated = self.mixed_input(seed, nu, reach=0.5)
+            assert np.array_equal(np.flatnonzero(((np.abs(s) > nu) & off).any(axis=0)), linked)
+            assert np.array_equal(ridge_repair(s), s)
+            TestActiveSetMatchesFullSweeps.assert_same_fit(s, nu)
+            est = graphical_lasso(s, nu)
+            assert est.n_solves > 0
+            assert not est.omega[isolated][off[isolated]].any()
+            assert np.array_equal(np.diag(est.omega)[isolated], 1.0 / np.diag(s)[isolated])
+
+    def test_entries_near_the_penalty_reach_the_same_optimum(self):
+        # with entries up to 0.9 nu the oracle, which sweeps every column,
+        # can admit an isolated variable for a while, so the two paths part
+        # and only their optimum agrees: compare at a tight gap
+        nu = 0.1
+        for seed in range(4):
+            s, _, _ = self.mixed_input(seed, nu, reach=0.9)
+            est = graphical_lasso(s, nu, gap_tol=1e-12)
+            omega, _, _ = full_sweep_glasso(s, nu, gap_tol=1e-12)
+            assert np.array_equal(est.omega != 0, omega != 0)
+            assert np.linalg.norm(est.omega - omega) <= 1e-8 * np.linalg.norm(omega)
+
+    def test_all_isolated_input_is_diagonal_without_solves(self, rng):
+        s = random_spd(rng, 8, n=40)
+        nu = np.abs(s - np.diag(np.diag(s))).max()  # no entry exceeds it
+        est = graphical_lasso(s, nu)
+        assert est.n_solves == 0 and est.n_sweeps == 1 and est.converged
+        assert np.array_equal(est.omega, np.diag(np.diag(est.omega)))
+        assert np.array_equal(np.diag(est.omega), 1.0 / np.diag(s))
+
+
 class TestExactSolvesMatchFullSweeps:
     """The sign-fixed column solves and their feature-sign fallback against
     full cyclic passes, on inputs that exercise each."""

@@ -13,8 +13,9 @@ from fieldnet import (
     uniform_bspline_spec,
     white_covariance,
 )
+from fieldnet import simulate as simulate_module
 from fieldnet.errors import DivergenceError, InvalidCovarianceError, ShapeError
-from oracles import quadrature_weight_entry
+from oracles import dense_weight_euler, quadrature_weight_entry
 
 
 def indicator_basis(grid, p_t=1, p_l=1):
@@ -182,6 +183,31 @@ class TestEuler:
                 SimConfig(grid=grid, seed=0, history=np.zeros((2, 2, 1))),
                 coeffs, basis,
             )
+
+    def test_matches_dense_weight_recursion(self, rng, monkeypatch):
+        # n_x != n_y and p_x != p_y, so a swapped Kronecker order fails
+        grid = Grid(n_x=5, n_y=3, n_steps=40, n_lags=4, dt=0.05,
+                    x_range=(0.0, 5.0), y_range=(0.0, 3.0))
+        basis = build_basis_set(
+            grid,
+            uniform_bspline_spec(2, 4, *grid.x_range),
+            uniform_bspline_spec(1, 3, *grid.y_range),
+            uniform_bspline_spec(1, 3, 0.0, grid.duration),
+            uniform_bspline_spec(2, 3, -grid.tau, 0.0),
+        )
+        coeffs = DriftCoefficients(*(rng.standard_normal(s) for s in basis.coef_shapes.values()))
+        cfg = SimConfig(grid=grid, seed=5, history=rng.standard_normal((5, 3, 4)),
+                        initial_state=rng.standard_normal((5, 3)))
+        noise = build_noise_covariance(gaussian_covariance(0.8, 0.3), grid)
+        want = dense_weight_euler(cfg, coeffs, basis, noise)
+
+        def refuse(*args):
+            raise AssertionError("simulate_euler formed the dense lag weight matrices")
+
+        monkeypatch.setattr(simulate_module, "build_weight_matrices", refuse)
+        got = simulate_euler(cfg, coeffs, basis, noise)
+        assert np.abs(got[:, :, grid.n_lags + 1:]).max() > 1.0  # every term moved the field
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stationarity_guard_long_run_bounded(self, rng):
         # stable drift: long horizon stays bounded
