@@ -8,9 +8,9 @@ nu_A sign_A`` whose result keeps those signs is the minimizer on ``A``.  A
 wrong guess hands over to feature-sign search (Lee, Battle, Raina & Ng
 2007): a line search over the sign changes toward the solve, the zeros
 dropped, then the worst zero violator activated one at a time.  The
-graphical lasso runs it on each column's active set, and
-:func:`_working_set_lasso` on a working set of a large factored Gram for
-every drift sub-fit.
+graphical lasso runs it on each column's active set; :func:`_dense_lasso`,
+which adds zero columns and a ridge on a singular matrix, runs it on the
+rank-one factor Grams and on :func:`_working_set_lasso`'s working sets.
 """
 
 from __future__ import annotations
@@ -74,17 +74,17 @@ def _column_lasso(v, c, x, sign, nu, budget):
     singular ``v[A, A]`` raises ``LinAlgError`` with ``x`` at the last
     point reached, which is no higher than the start.
     """
-    nu = np.broadcast_to(nu, c.shape)
+    nu = np.full(c.shape, nu) if np.ndim(nu) == 0 else nu
     solves = 0
     while solves < budget:
         act = np.flatnonzero(sign)
         if act.size:
-            v_act = v if act.size == sign.size else v[np.ix_(act, act)]
-            nu_act = nu[act]
-            z = np.linalg.solve(v_act, c[act] - nu_act * sign[act])
+            full = act.size == sign.size
+            v_act, c_act, nu_act = (v, c, nu) if full else (v[act[:, None], act], c[act], nu[act])
+            z = np.linalg.solve(v_act, c_act - nu_act * sign[act])
             solves += 1
             if ((np.sign(z) != sign[act]) & (nu_act > 0)).any():
-                step = _line_search(v_act, c[act], x[act], z, nu_act)
+                step = _line_search(v_act, c_act, x[act], z, nu_act)
                 if step is not None:
                     x[act] = step
                 elif solves > 1:
@@ -94,7 +94,7 @@ def _column_lasso(v, c, x, sign, nu, budget):
                 sign[:] = np.sign(x)
                 continue
             x[act] = z
-            if act.size == sign.size:  # no zero left to activate
+            if full:  # no zero left to activate
                 return solves, True
         r = c - v @ x
         excess = np.where(sign == 0, np.abs(r) - nu, 0.0)
@@ -105,30 +105,50 @@ def _column_lasso(v, c, x, sign, nu, budget):
     return solves, False
 
 
+def _dense_lasso(v, c, x, sign, nu, budget):
+    """:func:`_column_lasso` on the caller's own dense ``v`` and ``c``, with a
+    per-coordinate ``nu`` and an unpenalized zero guessing ``+1``.  A zero
+    column's coordinate stays 0.  A singular ``v[A, A]`` (the solve raises or
+    fails the KKT test) takes a ridge of ``SINGULAR_RIDGE`` times its largest
+    diagonal entry in place, which moves the minimizer by rounding only."""
+    if not nu.all():
+        sign[(nu == 0) & (sign == 0)] = 1.0
+    if not v.diagonal().min() > 0:
+        dead = ~(v.diagonal() > 0)
+        v[dead] = v[:, dead] = x[dead] = sign[dead] = c[dead] = 0.0
+    n = 1
+    try:
+        n, solved = _column_lasso(v, c, x, sign, nu, budget)
+        if solved and (np.abs((v @ x - c + nu * sign) * sign).max()
+                       > KKT_TOL_FACTOR * (np.abs(c).max() + nu.max())):
+            # a singular v[A, A] that did not raise returned amplified
+            # rounding: start again from zero on the same active set
+            x[:] = 0.0
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        # go on with the ridge; a failed solve counts as one
+        v[np.diag_indices_from(v)] += SINGULAR_RIDGE * v.diagonal().max()
+        more, solved = _column_lasso(v, c, x, sign, nu, budget - n)
+        n += more
+    return n, solved
+
+
 def _working_set_lasso(gram, c, x, g, nu, max_inner):
     """Minimize the lasso on the factored ``gram`` exactly from ``x``
     (updated in place), whose gradient ``G x - c`` is ``g``; all vectors
-    are flat (column-major).
-
-    The working set ``W`` starts as the support and the unpenalized
-    coordinates.  Each round admits the ``k`` worst zero violators ``|g_i|
-    > nu_i (1 + KKT_TOL_FACTOR)`` (``k = max(10, |support|)``, then at least
-    twice the support), solves on ``W`` by :func:`_column_lasso` on the
-    dense ``gram.submatrix(W)``, and makes one full Gram apply for the
-    gradient everywhere; W's zeros then leave it.  A kept coefficient
-    guesses its own sign, an admitted one the sign of ``-g_i``, an
-    unpenalized one ``+1``.  Rounds stop once nothing violates after an
-    exact solve, or at ``max_inner`` linear solves.  A coordinate with a
-    zero column (Gram diagonal 0) stays 0.  A singular ``G[A, A]``
-    (dependent columns; a solve that raises, or returns a point that fails
-    the KKT test on ``W``) takes ``SINGULAR_RIDGE`` times its largest
-    diagonal entry, which makes the minimizer unique and moves it by
-    rounding only.  Returns the linear solves, whether the last was exact,
-    and the largest ``|W|``.
+    are flat (column-major).  The working set ``W`` starts as the support
+    and the unpenalized coordinates.  Each round admits the ``k`` worst zero
+    violators ``|g_i| > nu_i (1 + KKT_TOL_FACTOR)`` (``k = max(10,
+    |support|)``, then at least twice the support), solves on the dense
+    ``gram.submatrix(W)`` by :func:`_dense_lasso`, and makes one full Gram
+    apply for the gradient everywhere; W's zeros then leave it.  A kept
+    coefficient guesses its own sign, an admitted one the sign of ``-g_i``.
+    Rounds stop once nothing violates after an exact solve, or at
+    ``max_inner`` linear solves.  A zero column is never admitted.  Returns
+    the linear solves, whether the last was exact, and the largest ``|W|``.
     """
     live = np.ravel(gram.diagonal, order="F") > 0
     free = live & (nu == 0)
-    x[~live] = 0.0
     k = max(10, np.count_nonzero(x))
     solves = size = 0
     solved = False
@@ -144,24 +164,9 @@ def _working_set_lasso(gram, c, x, g, nu, max_inner):
         sign[admit] = -np.sign(g[admit])
         index = np.flatnonzero(sign)
         size = max(size, index.size)
-        v, x_w, sign_w, c_w, nu_w = (gram.submatrix(index), x[index], sign[index], c[index],
-                                     nu[index])
-        n = 1
-        try:
-            n, solved = _column_lasso(v, c_w, x_w, sign_w, nu_w, max_inner - solves)
-            act = x_w != 0
-            if solved and (np.abs(v[act] @ x_w - c_w[act] + nu_w[act] * np.sign(x_w[act]))
-                           > KKT_TOL_FACTOR * (np.abs(c_w).max() + nu_w.max())).any():
-                # a singular G[A, A] that did not raise: the solve returned
-                # amplified rounding, so the round starts again
-                x_w, sign_w = x[index], sign[index]
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            # dependent columns: go on with a ridge of rounding size, which
-            # makes the minimizer unique; a failed solve counts as one
-            v[np.diag_indices_from(v)] += SINGULAR_RIDGE * v.diagonal().max()
-            more, solved = _column_lasso(v, c_w, x_w, sign_w, nu_w, max_inner - solves - n)
-            n += more
+        x_w = x[index]
+        n, solved = _dense_lasso(gram.submatrix(index), c[index], x_w, sign[index], nu[index],
+                                 max_inner - solves)
         solves += n
         x[index] = x_w
         g = np.ravel(gram.apply(x), order="F") - c

@@ -9,19 +9,18 @@ over the stacked coefficient blocks, without forming the design matrix.
 A block relaxation sweep makes two sub-solves against partial residuals:
 the stimulus under a rank-one constraint (spatially modulated common
 temporal signal), then the propagation and memory blocks as one lasso on
-their stacked design.  Every lasso is solved exactly by the working-set
-kernel of ``lasso.py``.  :func:`fit_component` runs it on a block's Gram
-``X^T Omega X``; the stimulus alternates two small lassos, one per factor,
-on the stimulus Gram's own two factors (its Gram form, as in Currie,
-Durban & Eilers 2006).  Every solve descends from its warm start, so the
-full penalized objective is non-increasing across every sub-solve.  The data
-are touched only when a sub-solve starts and returns, where the objective
-and the KKT certificate are evaluated exactly in residual form.
-The precision ``Omega`` belongs to the design: the solver takes its
-blocks, and their Grams, from ``design.blocks`` and never applies
-``Omega`` itself.
-The outer loop couples this with precision estimation (graphical lasso on
-the residual covariance) and a refit on precision-weighted data.
+their stacked design.  Every lasso is solved exactly by ``lasso.py``:
+:func:`fit_component` by its working set on a block's Gram ``X^T Omega
+X``, each rank-one factor by one dense solve on its scaled factor of the
+stimulus Gram (its Gram form, as in Currie, Durban & Eilers 2006).  Every
+solve descends from its warm start, so the full penalized objective is
+non-increasing across every sub-solve.  The data are touched only when a
+sub-solve starts and returns, where the objective and the KKT certificate
+are evaluated exactly in residual form.  The precision ``Omega`` belongs to
+the design: the solver takes its blocks, and their Grams, from
+``design.blocks`` and never applies ``Omega`` itself.  The outer loop
+couples this with precision estimation (graphical lasso on the residual
+covariance) and a refit on precision-weighted data.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .bases import DriftCoefficients
-from .design import _Gram, _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
+from .design import _KronBlock, linear_predictor, network_block  # noqa: F401  (re-exported)
 from .errors import DivergenceError
-from .lasso import KKT_TOL_FACTOR, _working_set_lasso, kkt_residual
+from .lasso import KKT_TOL_FACTOR, _dense_lasso, _working_set_lasso, kkt_residual
 from .precision import graphical_lasso
 
 
@@ -252,9 +251,9 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     one residual at the warm product ``A_0``.  So the eta step is the lasso
     on ``(zeta^T G_t zeta) G_s`` with linear term ``C zeta``, the zeta step
     the one on ``(eta^T G_s eta) G_t`` with ``C^T eta``, each solved exactly
-    by :func:`_working_set_lasso`; ``n_iter`` counts linear solves.  A
-    missing or zero ``warm_zeta`` starts as C's leading right singular
-    vector.
+    by one :func:`_dense_lasso` call from the previous factor's signs;
+    ``n_iter`` counts linear solves.  A missing or zero ``warm_zeta`` starts
+    as C's leading right singular vector.
 
     ``trace`` is the objective at the start and after each alternation in
     Gram form, the start objective plus ``<g_0, D> + 1/2 <D, G_s D G_t>``
@@ -272,9 +271,7 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
     stimulus = design.blocks["stimulus"]
     g_s, g_t = stimulus.gram().factors
     shape = stimulus.coef_shape  # (space..., time)
-    if weights is None:
-        weights = np.ones(shape)
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), shape)
+    weights = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=float), shape)
     w = weights.reshape(len(g_s), len(g_t), order="F")
 
     def balanced(zeta, eta):
@@ -313,18 +310,16 @@ def fit_reduced_rank_stimulus(design, target, lam, weights=None, warm_zeta=None,
         return max(kkt_residual(grad @ zeta, eta, lam, w @ np.abs(zeta))[0],
                    kkt_residual(eta @ grad, zeta, lam, np.abs(eta) @ w)[0])
 
-    def solve(x, gram_factor, linear, nu):
-        gram = _Gram([gram_factor], x.shape)
-        return _working_set_lasso(gram, linear, x, gram.apply(x) - linear, nu, opts.max_inner)[0]
-
     trace = [objective(np.outer(eta, zeta))[0]]
     total_iter = 0
     stopped = collapsed = False
     n_alt = 0
     for n_alt in range(1, opts.max_rank1 + 1):
-        total_iter += solve(eta, (zeta @ g_t @ zeta) * g_s, c @ zeta, lam * (w @ np.abs(zeta)))
+        total_iter += _dense_lasso((zeta @ g_t @ zeta) * g_s, c @ zeta, eta, np.sign(eta),
+                                   lam * (w @ np.abs(zeta)), opts.max_inner)[0]
         if eta.any():
-            total_iter += solve(zeta, (eta @ g_s @ eta) * g_t, eta @ c, lam * (np.abs(eta) @ w))
+            total_iter += _dense_lasso((eta @ g_s @ eta) * g_t, eta @ c, zeta, np.sign(zeta),
+                                       lam * (np.abs(eta) @ w), opts.max_inner)[0]
         if not (eta.any() and zeta.any()):
             collapsed = True
             break

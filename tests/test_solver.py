@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -319,8 +321,8 @@ class TestReducedRank:
 
 
 class TestFactorFits:
-    """The rank-one factor steps: exact feature-sign solves on the factor
-    block's one dense Gram factor, by the same fit as every other block."""
+    """The rank-one factor steps: exact feature-sign solves on the scaled
+    dense factor Gram, with the same singular ridge as every other block."""
 
     def test_singular_gram_is_solved_with_a_rounding_ridge(self, monkeypatch):
         loc = np.random.default_rng(8)
@@ -363,13 +365,13 @@ class TestFactorFits:
         xs = x[:, slices["stimulus"]]
         steps = []
 
-        def recording(gram, c, x, g, nu, max_inner, solve=solver_module._working_set_lasso):
+        def recording(v, c, x, sign, nu, budget, solve=solver_module._dense_lasso):
             start = x.copy()
-            out = solve(gram, c, x, g, nu, max_inner)
+            out = solve(v, c, x, sign, nu, budget)
             steps.append((start, x.copy(), nu, out))
             return out
 
-        monkeypatch.setattr(solver_module, "_working_set_lasso", recording)
+        monkeypatch.setattr(solver_module, "_dense_lasso", recording)
         shape = (basis.p_x, basis.p_y, basis.p_t)
         for omega in (None, random_precision(rng, d)):
             case = design if omega is None else design.with_omega(omega)
@@ -403,6 +405,185 @@ class TestFactorFits:
                         assert out[1]  # the last solve was exact
                 assert len(rank1.trace) == rank1.n_alternations + 1
                 assert monotone(rank1.trace), np.diff(rank1.trace)
+
+
+def lasso_objective(v, c, x, nu):
+    return 0.5 * float(x @ v @ x) - float(c @ x) + float(nu @ np.abs(x))
+
+
+def working_set_step(v, c, x, nu, max_inner):
+    """A factor step as the working set made it: a one-factor ``_Gram``
+    on ``v``, from ``x`` and its gradient."""
+    gram = design_module._Gram([v], (len(v),))
+    return lasso_module._working_set_lasso(gram, c, x, gram.apply(x) - c, nu, max_inner)
+
+
+def assert_same_step(v, c, start, nu, got, solved, max_inner=1000):
+    want = start.copy()
+    _, want_solved, _ = working_set_step(v, c, want, nu, max_inner)
+    f_got, f_want = lasso_objective(v, c, got, nu), lasso_objective(v, c, want, nu)
+    assert abs(f_got - f_want) <= 1e-12 * abs(f_want), (f_got, f_want)
+    assert np.array_equal(got != 0, want != 0)
+    assert solved and want_solved
+
+
+def stimulus_only(design, phi_x):
+    """A design holding only ``design``'s stimulus block, with ``phi_x`` for
+    its x factor; the rank-one fit reads nothing else."""
+    stimulus = design.blocks["stimulus"]
+    _, phi_y, phi_t = stimulus.factors
+    block = _KronBlock("stimulus", [phi_x, phi_y, phi_t],
+                       (phi_x.shape[1], phi_y.shape[1], phi_t.shape[1]), omega=stimulus.omega)
+    return SimpleNamespace(blocks={"stimulus": block}, target=design.target)
+
+
+def recording_steps(monkeypatch):
+    """Record every factor step's inputs and result; each entry is ``(v,
+    c, start, nu, budget, v after, x after, (solves, solved))``."""
+    steps = []
+
+    def recording(v, c, x, sign, nu, budget, solve=solver_module._dense_lasso):
+        inputs = (v.copy(), c.copy(), x.copy(), nu.copy(), budget)
+        out = solve(v, c, x, sign, nu, budget)
+        steps.append(inputs + (v.copy(), x.copy(), out))
+        return out
+
+    monkeypatch.setattr(solver_module, "_dense_lasso", recording)
+    return steps
+
+
+class TestFactorStepsOnDenseGrams:
+    """Each rank-one factor step is one dense feature-sign call on its
+    scaled factor Gram; it must reach the working set's optimum."""
+
+    @pytest.mark.parametrize("case", ["penalized", "unpenalized-coordinates", "lambda-zero"])
+    def test_random_factors_match_the_working_set(self, case):
+        loc = np.random.default_rng(24)
+        for n in (4, 9, 27, 64):
+            for _ in range(4):
+                root = loc.standard_normal((n + 3, n))
+                v = root.T @ root + 0.1 * np.eye(n)
+                c = 3.0 * loc.standard_normal(n)
+                nu = 0.5 * np.abs(c).max() * loc.uniform(0.5, 1.5, n)
+                if case == "unpenalized-coordinates":
+                    nu[loc.random(n) < 0.25] = 0.0
+                elif case == "lambda-zero":
+                    nu[:] = 0.0
+                start = loc.standard_normal(n) * (loc.random(n) < 0.4)
+                x = start.copy()
+                # the call the solver makes: the factor's own signs first
+                _, solved = solver_module._dense_lasso(v.copy(), c.copy(), x, np.sign(x), nu,
+                                                       1000)
+                assert_same_step(v, c, start, nu, x, solved)
+
+    @pytest.mark.parametrize("case", ["weighted", "unpenalized-coordinates", "lambda-zero"])
+    def test_recorded_factor_steps_match_the_working_set(self, rng, monkeypatch, case):
+        _, basis, design = rank1_instance(rng)
+        weights = 0.5 + rng.random((basis.p_x, basis.p_y, basis.p_t))
+        if case == "unpenalized-coordinates":
+            weights[0] = 0.0  # eta's first row of coefficients
+            weights[..., 1] = 0.0  # zeta's second coefficient
+        lam = 0.0 if case == "lambda-zero" else 0.05 * stimulus_lambda_max(design, weights)
+        steps = recording_steps(monkeypatch)
+        fit = fit_reduced_rank_stimulus(design, design.target, lam, weights)
+        assert not fit.collapsed and len(steps) == 2 * fit.n_alternations
+        for v, c, start, nu, budget, _, x, (_, solved) in steps:
+            assert_same_step(v, c, start, nu, x, solved, budget)
+
+    def test_singular_spatial_factor_takes_the_ridge_and_is_certified(self, rng, monkeypatch):
+        _, basis, design = rank1_instance(rng)
+        phi_x = design.blocks["stimulus"].factors[0]
+        # the new last x function repeats the first, so G_s has two equal
+        # rows and columns
+        case = stimulus_only(design, np.c_[phi_x, phi_x[:, 0]])
+        block = case.blocks["stimulus"]
+        factors = [f.copy() for f in block.gram().factors]
+        lam = 0.05 * float(np.abs(block.weighted_adjoint(case.target)).max())
+        warm_eta = np.zeros((basis.p_x + 1, basis.p_y))
+        warm_eta[0] = warm_eta[-1] = 1.0  # both copies active with one sign
+        steps = recording_steps(monkeypatch)
+        rank1 = fit_reduced_rank_stimulus(case, case.target, lam,
+                                          warm_zeta=np.ones(basis.p_t), warm_eta=warm_eta)
+        ridged = [(v, after) for v, *_, after, _, _ in steps if not np.array_equal(after, v)]
+        assert ridged
+        for v, after in ridged:
+            # a rounding-size ridge on the step's diagonal, nothing else
+            diag = np.diag(after - v)
+            assert np.array_equal(after - v, np.diag(diag))
+            assert 0 < diag.min() and diag.max() <= 1e-12 * np.abs(v).max()
+        assert not rank1.collapsed and np.isfinite(rank1.alpha).all()
+        assert rank1.converged and rank1.kkt_residual <= KKT_TOL_FACTOR * lam
+        assert rank1.objective <= rank1.trace[0]
+        # the ridge went on the step's own matrix, never on the Gram
+        assert all(np.array_equal(a, b) for a, b in zip(factors, block.gram().factors))
+
+    def test_singular_solve_that_does_not_raise_is_caught_by_the_kkt_test(self):
+        # a dependent triple of columns, all three active with the signs of
+        # the null vector: LAPACK often returns amplified rounding instead
+        # of raising, and that point must not be taken for the minimizer
+        loc = np.random.default_rng(3)
+        caught = 0
+        for trial in range(20):
+            root = loc.standard_normal((12, 5))
+            root[:, 4] = root[:, 0] + 0.3 * root[:, 1]
+            v = root.T @ root
+            c = root.T @ loc.standard_normal(12)
+            nu = np.full(5, 0.05)
+            x = 0.1 * (-1) ** trial * np.array([1.0, 1.0, 0.0, 0.0, -1.0])
+            act = [0, 1, 4]
+            try:
+                np.linalg.solve(v[np.ix_(act, act)], c[act] - nu[act] * np.sign(x[act]))
+                raised = False
+            except np.linalg.LinAlgError:
+                raised = True
+            step = v.copy()
+            _, solved = solver_module._dense_lasso(step, c.copy(), x, np.sign(x), nu, 100)
+            assert solved and kkt_residual(v @ x - c, x, 1.0, nu)[1], trial
+            caught += not raised and not np.array_equal(step, v)
+        assert caught
+
+    def test_stimulus_factors_are_bit_identical_after_fits(self, rng):
+        # the singular case, where a ridge is taken, is checked above
+        _, basis, design = rank1_instance(rng)
+        block = design.blocks["stimulus"]
+        before = [f.copy() for f in block.gram().factors]
+        top = float(np.abs(block.weighted_adjoint(design.target)).max())
+        for factor in (0.5, 0.05, 0.0):
+            fit_reduced_rank_stimulus(design, design.target, factor * top)
+            assert all(np.array_equal(a, b) for a, b in zip(before, block.gram().factors))
+
+    @pytest.mark.parametrize("penalized", [True, False], ids=["penalized", "unpenalized"])
+    def test_zero_column_coordinate_stays_exactly_zero(self, rng, penalized):
+        # one step on a Gram with an exact zero row and column, from a start
+        # and a linear term that both pull on that coordinate
+        loc = np.random.default_rng(6)
+        root = loc.standard_normal((9, 6))
+        root[:, 2] = 0.0
+        v = root.T @ root
+        c = loc.standard_normal(6)
+        c[2] = 5.0
+        nu = np.full(6, 0.3)
+        nu[2] = 0.3 if penalized else 0.0
+        start = loc.standard_normal(6)
+        x = start.copy()
+        _, solved = solver_module._dense_lasso(v.copy(), c.copy(), x, np.sign(x), nu, 100)
+        assert x[2] == 0.0
+        assert_same_step(v, c, start, nu, x, solved)
+        # and in a fit, through an x function that is zero on the grid
+        _, basis, design = rank1_instance(rng)
+        phi_x = design.blocks["stimulus"].factors[0]
+        case = stimulus_only(design, np.c_[phi_x, np.zeros(len(phi_x))])
+        weights = np.ones((basis.p_x + 1, basis.p_y, basis.p_t))
+        if not penalized:
+            weights[-1] = 0.0
+        block = case.blocks["stimulus"]
+        lam = 0.05 * float(np.abs(block.weighted_adjoint(case.target)).max())
+        fit = fit_reduced_rank_stimulus(case, case.target, lam, weights,
+                                        warm_zeta=np.ones(basis.p_t),
+                                        warm_eta=np.ones((basis.p_x + 1, basis.p_y)))
+        assert not fit.collapsed and fit.eta[:-1].any()
+        assert not fit.eta[-1].any() and not fit.alpha[-1].any()
+        assert fit.converged and fit.kkt_residual <= KKT_TOL_FACTOR * lam
 
 
 class TestRank1Trace:
