@@ -10,7 +10,6 @@ configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -39,7 +38,12 @@ from .solver import (
     mrce_loop,
     support_scores,
 )
-from .summary import compute_degree_maps, compute_separation_profile, weight_density
+from .summary import (
+    compute_degree_maps,
+    compute_separation_profile,
+    default_epsilon,
+    weight_density,
+)
 
 
 def _write_manifest(out_dir, command, cfg, outputs):
@@ -257,12 +261,18 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
 
 
 def _write_csv(path, header, columns):
-    """One row per entry of the broadcast columns, in row-major order."""
-    columns = np.broadcast_arrays(*columns)
+    """One row per entry of the broadcast columns, in row-major order, with
+    the bytes :mod:`csv` writes (numbers and plain header names need no
+    quoting).  Each column is formatted once at its own shape (``str`` of
+    its Python numbers) and then broadcast, so an index or coordinate
+    column in ``np.ix_`` form costs one string per value."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    cells = []
+    for column in columns:
+        text = np.array(list(map(str, np.ravel(column).tolist())), dtype=object)
+        cells.append(np.broadcast_to(text.reshape(np.shape(column)), shape).ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(c.ravel().tolist() for c in columns)))
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
 def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
@@ -280,18 +290,27 @@ def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
         raise ConfigError(f"{report_path}: not a fit report ({exc!r})") from exc
     if not sub.exists():
         raise ConfigError(f"missing fit artifacts: {sub}")
-    coeffs = DriftCoefficients(*(read_dta1(sub / f"{name}.dta1")
-                                 for name in ("alpha", "beta", "gamma")))
+    blocks = []
+    for name, shape in zip(("alpha", "beta", "gamma"), basis.coef_shapes.values()):
+        path = sub / f"{name}.dta1"
+        block = read_dta1(path)
+        if block.shape != shape:
+            raise ConfigError(f"{path}: coefficients have shape {block.shape}, expected {shape}")
+        if not np.isfinite(block).all():
+            raise ConfigError(f"{path}: coefficients contain non-finite values (NaN or inf)")
+        blocks.append(block)
+    coeffs = DriftCoefficients(*blocks)
     beta = coeffs.beta
 
-    maps = compute_degree_maps(beta, basis)
+    eps = default_epsilon(beta, basis)  # one max pass, shared by both grid summaries
+    maps = compute_degree_maps(beta, basis, eps)
     prof = compute_separation_profile(beta, basis)
-    dens = weight_density(beta, basis)
+    dens = weight_density(beta, basis, eps)
     stim = stimulus_frames(coeffs, basis).transpose(2, 0, 1)  # time-major rows
-    i, j = np.indices((grid.n_x, grid.n_y))
-    si, ti = np.indices(prof.table.shape)
-    di, vi = np.indices(dens.counts.shape)
-    k, ki, kj = np.indices(stim.shape)
+    i, j = np.ix_(range(grid.n_x), range(grid.n_y))
+    si, ti = np.ix_(*map(range, prof.table.shape))
+    di, vi = np.ix_(*map(range, dens.counts.shape))
+    k, ki, kj = np.ix_(*map(range, stim.shape))
     map_columns = [i, j, grid.x_centers[i], grid.y_centers[j]]
     map_header = ["x_index", "y_index", "x", "y", "value"]
     tables = {
@@ -305,7 +324,7 @@ def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
                          "value_lo", "value_hi", "count"],
                         [di, vi, dens.delay_edges[di], dens.delay_edges[di + 1],
                          dens.value_edges[vi], dens.value_edges[vi + 1],
-                         dens.counts.astype(np.int64)]),
+                         dens.counts]),
         "stimulus.csv": (["x_index", "y_index", "t", "value"],
                          [ki, kj, grid.model_times[k], stim]),
     }

@@ -110,7 +110,8 @@ def _dense_lasso(v, c, x, sign, nu, budget):
     per-coordinate ``nu`` and an unpenalized zero guessing ``+1``.  A zero
     column's coordinate stays 0.  A singular ``v[A, A]`` (the solve raises or
     fails the KKT test) takes a ridge of ``SINGULAR_RIDGE`` times its largest
-    diagonal entry in place, which moves the minimizer by rounding only."""
+    diagonal entry in place, which moves the minimizer by rounding only;
+    so does one on which the search gives up with budget left."""
     if not nu.all():
         sign[(nu == 0) & (sign == 0)] = 1.0
     if not v.diagonal().min() > 0:
@@ -119,6 +120,9 @@ def _dense_lasso(v, c, x, sign, nu, budget):
     n = 1
     try:
         n, solved = _column_lasso(v, c, x, sign, nu, budget)
+        if not solved and n < budget:
+            # no descending point toward the solve: v[A, A] is singular
+            raise np.linalg.LinAlgError
         if solved and (np.abs((v @ x - c + nu * sign) * sign).max()
                        > KKT_TOL_FACTOR * (np.abs(c).max() + nu.max())):
             # a singular v[A, A] that did not raise returned amplified

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,50 @@ class TestFitAndSummarize:
                      "--out", str(tmp_path / "s")]) == 2
 
 
+def stdlib_csv(path, header, columns):
+    """The summary tables as the csv module writes them, from the columns
+    broadcast to full size."""
+    columns = np.broadcast_arrays(*columns)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.ravel().tolist() for c in columns)))
+
+
+# values whose text is easy to get wrong: a signed zero, the smallest
+# subnormal, exponent forms at both ends, a sum that needs 17 digits
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5), (0, 5)],
+                             ids=["map", "stimulus-like", "no-rows"])
+    def test_bytes_equal_the_csv_module(self, tmp_path, shape):
+        loc = np.random.default_rng(11)
+        full = loc.standard_normal(shape)
+        full.ravel()[:len(AWKWARD_FLOATS)] = AWKWARD_FLOATS[:full.size]
+        # np.ix_-style index and coordinate columns, one per axis, beside
+        # full-size float and integer columns
+        index = np.ix_(*map(range, shape))
+        index[0][-1:] = 2**53 + 1  # an integer no float holds
+        coords = [np.resize(AWKWARD_FLOATS, i.shape) for i in index]
+        counts = (2**53 + 1) * (full > 0)
+        header = [f"c{n}" for n in range(2 * len(shape) + 2)]
+        columns = [*index, *coords, full, counts]
+        cli._write_csv(tmp_path / "ours.csv", header, columns)
+        stdlib_csv(tmp_path / "csv.csv", header, columns)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        assert (tmp_path / "ours.csv").read_bytes().count(b"\r\n") == 1 + full.size
+
+    def test_summaries_equal_the_csv_module(self, pipeline, tmp_path, monkeypatch):
+        _, fit, summ = pipeline
+        monkeypatch.setattr(cli, "_write_csv", stdlib_csv)
+        out = tmp_path / "summary"
+        assert main(["summarize", "--config", str(QUICKSTART), "--fit", str(fit),
+                     "--out", str(out)]) == 0
+        assert tree_digest(out) == tree_digest(summ)
+
+
 def mrce_config(tmp_path, lambda_index):
     text = QUICKSTART.read_text().replace(
         "mrce = false", f"mrce = true\nmrce_lambda_index = {lambda_index}")
@@ -498,6 +543,30 @@ class TestFitInputErrors:
                      "--out", str(tmp_path / "s")])
         assert code == 2
         assert_single_error_line(capsys)
+
+    @pytest.mark.parametrize("name,fault", [("beta", "nan"), ("gamma", "inf"),
+                                            ("beta", "shape"), ("alpha", "shape")])
+    def test_unusable_coefficients_exit_2_naming_the_file(self, pipeline, tmp_path, capsys,
+                                                          name, fault):
+        _, fit, _ = pipeline
+        copy = tmp_path / "fit"
+        shutil.copytree(fit, copy)
+        best = json.loads((fit / "report.json").read_text())["best_index"]
+        path = copy / f"lambda_{best:02d}" / f"{name}.dta1"
+        block = read_dta1(path)
+        if fault == "shape":
+            block = block[1:]
+        else:
+            block.flat[-1] = float(fault)
+        write_dta1(path, block)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        code = main(["summarize", "--config", str(QUICKSTART), "--fit", str(copy),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+        assert not out.exists()
 
     def test_wrongly_shaped_truth_exits_2_before_fitting(self, pipeline, tmp_path, capsys):
         sim, _, _ = pipeline

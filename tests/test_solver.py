@@ -542,6 +542,30 @@ class TestFactorStepsOnDenseGrams:
             caught += not raised and not np.array_equal(step, v)
         assert caught
 
+    def test_singular_set_the_search_gives_up_on_takes_the_ridge(self):
+        # the same dependent triple with all five columns active from x = 1:
+        # the search often finds no descending point toward the solve and
+        # gives up with budget left; that must not end the step unsolved
+        loc = np.random.default_rng(57)
+        gave_up = 0
+        for trial in range(200):
+            root = loc.standard_normal((12, 5))
+            root[:, 4] = root[:, 0] + 0.3 * root[:, 1]
+            v = root.T @ root
+            c = root.T @ loc.standard_normal(12)
+            nu = np.full(5, 0.05)
+            try:
+                solves, solved = lasso_module._column_lasso(v.copy(), c.copy(), np.ones(5),
+                                                            np.ones(5), nu, 100)
+                gave_up += not solved and solves < 100
+            except np.linalg.LinAlgError:
+                pass
+            x = np.ones(5)
+            step = v.copy()
+            _, solved = solver_module._dense_lasso(step, c.copy(), x, np.sign(x), nu, 100)
+            assert solved and kkt_residual(v @ x - c, x, 1.0, nu)[1], trial
+        assert gave_up
+
     def test_stimulus_factors_are_bit_identical_after_fits(self, rng):
         # the singular case, where a ridge is taken, is checked above
         _, basis, design = rank1_instance(rng)

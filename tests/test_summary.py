@@ -11,6 +11,8 @@ from fieldnet import (
     uniform_bspline_spec,
     weight_density,
 )
+from fieldnet import summary as summary_module
+from fieldnet.summary import DENSITY_VALUE_BINS, LAG_CHUNK, default_epsilon
 from oracles import naive_degree_maps
 
 
@@ -172,3 +174,104 @@ class TestWeightDensity:
         want = int((np.abs(w5) > eps).sum())
         assert int(dens.counts.sum()) == want
         assert dens.n_excluded == w5.size - want
+
+
+def many_lag_basis(degree=1, n_lags=2 * LAG_CHUNK + 3):
+    """A 4x4 grid with more lags than two chunks and a lag basis of its own
+    degree."""
+    grid = Grid(n_x=4, n_y=4, n_steps=6, n_lags=n_lags, dt=0.05,
+                x_range=(0.0, 4.0), y_range=(0.0, 4.0))
+    return build_basis_set(
+        grid,
+        uniform_bspline_spec(degree, 3, *grid.x_range),
+        uniform_bspline_spec(degree, 3, *grid.y_range),
+        uniform_bspline_spec(1, 2, 0.0, grid.duration),
+        uniform_bspline_spec(degree, 5, -grid.tau, 0.0),
+    )
+
+
+def full_grid_summaries(beta, basis, eps):
+    """Degree-map counts and sums, and the density, on the whole network
+    grid at once: the delays are binned with the values in one 2-D
+    histogram."""
+    grid = basis.grid
+    w5 = evaluate_network_grid(beta, basis)
+    absw = np.abs(w5)
+    nonzero = absw > eps
+    values = w5[nonzero]
+    delays = np.broadcast_to(grid.lag_midpoints, w5.shape)[nonzero]
+    delay_edges = np.arange(-grid.n_lags, 1) * grid.dt
+    value_edges = np.linspace(values.min(), values.max(), DENSITY_VALUE_BINS + 1)
+    counts, _, _ = np.histogram2d(delays, values, bins=[delay_edges, value_edges])
+    return {
+        "count_in": nonzero.sum(axis=(2, 3, 4)), "count_out": nonzero.sum(axis=(0, 1, 4)),
+        "sum_in": absw.sum(axis=(2, 3, 4)), "sum_out": absw.sum(axis=(0, 1, 4)),
+        "value_edges": value_edges, "counts": counts, "n_excluded": w5.size - values.size,
+    }
+
+
+class TestLagChunks:
+    """The degree maps and the density read the network grid LAG_CHUNK lags
+    at a time; they must give the full-grid numbers."""
+
+    @pytest.fixture
+    def chunk_lags(self, monkeypatch):
+        # the lag extent of every grid evaluation, in call order
+        seen = []
+
+        def recording(beta, basis, lags=slice(None), evaluate=evaluate_network_grid):
+            w = evaluate(beta, basis, lags)
+            seen.append(w.shape[-1])
+            return w
+
+        monkeypatch.setattr(summary_module, "evaluate_network_grid", recording)
+        return seen
+
+    def test_match_the_full_grid(self, rng, chunk_lags):
+        basis = many_lag_basis()
+        grid = basis.grid
+        beta = sparse_beta(rng, basis, k=12)
+        full = full_grid_summaries(beta, basis, default_epsilon(beta, basis))
+        assert default_epsilon(beta, basis) == 1e-8 * np.abs(evaluate_network_grid(beta, basis)).max()
+        # a chunk leaves out the lag functions that are zero on its lags,
+        # which changes no value
+        w5 = evaluate_network_grid(beta, basis)
+        for start in range(0, grid.n_lags, LAG_CHUNK):
+            lags = slice(start, start + LAG_CHUNK)
+            assert np.array_equal(evaluate_network_grid(beta, basis, lags), w5[..., lags])
+        del chunk_lags[:]
+        maps = compute_degree_maps(beta, basis)
+        dens = weight_density(beta, basis)
+        # every evaluation is one chunk, never the whole grid; the maps make
+        # two passes (epsilon, sums) and the density three (epsilon, value
+        # range, counts)
+        n_chunks = -(-grid.n_lags // LAG_CHUNK)
+        assert chunk_lags == 5 * ([LAG_CHUNK] * (n_chunks - 1) + [grid.n_lags % LAG_CHUNK])
+        cell = grid.cell_area * grid.dt
+        assert np.array_equal(maps.deg_in, full["count_in"] * cell)
+        assert np.array_equal(maps.deg_out, full["count_out"] * cell)
+        assert maps.deg_in.any() and maps.deg_out.any()
+        np.testing.assert_allclose(maps.w_in * maps.deg_in, full["sum_in"] * cell, rtol=1e-12)
+        np.testing.assert_allclose(maps.w_out * maps.deg_out, full["sum_out"] * cell, rtol=1e-12)
+        assert np.array_equal(dens.value_edges, full["value_edges"])
+        assert np.array_equal(dens.counts, full["counts"])
+        assert dens.n_excluded == full["n_excluded"]
+        # several lags and both signs, so the counts are not trivially equal
+        assert (dens.counts.sum(axis=1) > 0).sum() > LAG_CHUNK
+        assert dens.counts[:, :DENSITY_VALUE_BINS // 2].any()
+        assert dens.counts[:, DENSITY_VALUE_BINS // 2:].any()
+
+    def test_one_distinct_weight_fills_the_last_bin(self):
+        # piecewise-constant bases, so the weight is 2.0 or exactly 0 on the
+        # grid: the value range is one point and every edge equals it
+        basis = many_lag_basis(degree=0)
+        beta = np.zeros(basis.coef_shapes["network"])
+        beta[1, 1, 2, 0, 3] = 2.0
+        values = np.unique(evaluate_network_grid(beta, basis))
+        assert np.array_equal(values, [0.0, 2.0])
+        full = full_grid_summaries(beta, basis, default_epsilon(beta, basis))
+        dens = weight_density(beta, basis)
+        assert (dens.value_edges == 2.0).all()
+        assert np.array_equal(dens.counts, full["counts"])
+        assert dens.counts[:, :-1].sum() == 0
+        assert dens.counts[:, -1].sum() == (evaluate_network_grid(beta, basis) != 0).sum()
