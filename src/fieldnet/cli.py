@@ -90,11 +90,7 @@ def _noise_model(cfg, grid):
         return None
     cov = (white_covariance(sim["noise_scale"]) if sim["noise"] == "white"
            else gaussian_covariance(sim["noise_length"], sim["noise_scale"]))
-    try:
-        return build_noise_covariance(cov, grid)
-    except OverflowError as exc:  # the covariance scales with the squared cell area
-        raise ConfigError(f"[grid] x_lo, x_hi, y_lo, y_hi: cell area {grid.cell_area:g} is "
-                          f"too large, its square overflows the noise covariance") from exc
+    return build_noise_covariance(cov, grid)
 
 
 def cmd_simulate(cfg, out_dir):

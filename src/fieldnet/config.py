@@ -178,12 +178,18 @@ def load_config(path):
 def make_grid(cfg):
     g = cfg.sections["grid"]
     try:
-        return Grid(
+        grid = Grid(
             n_x=g["n_x"], n_y=g["n_y"], n_steps=g["n_steps"], n_lags=g["n_lags"],
             dt=g["dt"], x_range=(g["x_lo"], g["x_hi"]), y_range=(g["y_lo"], g["y_hi"]),
         )
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from exc
+    # the stimulus and memory scale with the cell area, the noise covariance
+    # with its square
+    if not math.isfinite(grid.cell_area * grid.cell_area):
+        raise ConfigError(f"[grid] x_lo, x_hi, y_lo, y_hi: cell area {grid.cell_area:g} is "
+                          f"too large, its square overflows")
+    return grid
 
 
 def make_basis(cfg):

@@ -351,14 +351,23 @@ def _cross_gram(left, right):
     Column ``b`` of ``X_right`` is ``V`` scaled row-wise by the spatial
     column ``s_b``, so column ``b`` of the cross term is ``vec((Omega
     S_left o s_b)^T (V T))``: one contraction of the data with ``T``, then
-    one over the pixels per column.
+    one product over the pixels per basis function of the right block's
+    second mode, of ``V T`` with the row-wise Khatri-Rao product of ``Omega
+    S_left`` and that function's columns ``s_b``.  A product over all
+    columns at once would be faster, but its temporaries would grow by the
+    size of the second mode.
     """
     s_left = left.weigh(left.spatial())
     s_right = right.spatial()
     u = right.multiplier.reshape(s_right.shape[0], -1, order="F") @ left.factors[2]
-    cross = np.empty((s_left.shape[1] * u.shape[1], s_right.shape[1]))
-    for b, column in enumerate(s_right.T):
-        cross[:, b] = ((s_left * column[:, None]).T @ u).ravel(order="F")
+    n_left, n_chunk = s_left.shape[1], right.coef_shape[0]
+    cross = np.empty((n_left * u.shape[1], s_right.shape[1]))
+    for lo in range(0, s_right.shape[1], n_chunk):
+        chunk = s_right[:, lo : lo + n_chunk]
+        khatri_rao = (s_left[:, None, :] * chunk[:, :, None]).reshape(len(chunk), -1)
+        # rows (b, a) of the product -> column b, rows a + n_left * c of the cross term
+        prod = (khatri_rao.T @ u).reshape(n_chunk, n_left, -1)
+        cross[:, lo : lo + n_chunk] = prod.transpose(1, 2, 0).reshape(-1, n_chunk, order="F")
     return cross
 
 

@@ -16,8 +16,9 @@ network block applied to one frame.  Each frame is contracted once with
 the source bases, and a step folds its window of ``L`` contracted frames
 with the lag integrals, applies ``beta`` and maps the result to the cells.
 With ``P = p_x p_y``, a step costs ``O(D P + P L p_l + P^2 p_l)`` for the
-network term instead of the ``O(D^2 L)`` of the dense matrices, plus
-``O(D^2)`` for the noise mixing.  :func:`build_weight_matrices` still
+network term instead of the ``O(D^2 L)`` of the dense matrices.  The noise
+of all steps is mixed in one ``(D, D) x (D, M)`` product before the loop,
+so a step only adds its column.  :func:`build_weight_matrices` still
 assembles the ``W_l`` for inspection and checks.
 """
 
@@ -76,9 +77,12 @@ class NoiseModel:
     """Stationary spatial noise: grid covariance matrix and mixer.
 
     ``c_tilde`` has entry ``([m,n],[i,j]) = c(x_m - x_i, y_n - y_j) * cell_area^2``;
-    ``factor`` is its eigendecomposition with negative eigenvalues clipped
-    to zero, used as the mixing matrix for the Gaussian increments.  The
-    one-step increment covariance is ``c_tilde.T @ c_tilde * dt``.
+    ``factor``, the mixing matrix for the Gaussian increments, is its
+    positive semidefinite repair: a copy of ``c_tilde`` when that is
+    positive definite, else its eigendecomposition with negative
+    eigenvalues clipped to zero.  The one-step increment covariance is
+    ``factor @ factor.T * dt``, which is ``c_tilde.T @ c_tilde * dt`` when
+    no eigenvalue was clipped.
     """
 
     c_tilde: np.ndarray
@@ -89,7 +93,11 @@ def build_noise_covariance(covariance_fn, grid):
     """Assemble the grid covariance matrix and its PSD-repaired mixer.
 
     ``covariance_fn`` must be a stationary, symmetric covariance function
-    of the displacement, accepting ndarray arguments.  Raises
+    of the displacement, accepting ndarray arguments.  A positive definite
+    matrix is its own mixer (its clipped eigendecomposition is the matrix
+    up to rounding).  Strict diagonal dominance proves it in one pass
+    (Gershgorin), else a Cholesky test does, and only a matrix that fails
+    both is eigendecomposed.  Raises
     :class:`InvalidCovarianceError` when the grid matrix is strongly
     indefinite (minimum eigenvalue below ``-1e-6 * trace``).
     """
@@ -102,6 +110,9 @@ def build_noise_covariance(covariance_fn, grid):
     d = grid.n_pixels
     c_tilde = vals.reshape(d, d, order="F") * grid.cell_area**2
     c_tilde = (c_tilde + c_tilde.T) / 2.0
+    dominant = np.all(2.0 * np.diag(c_tilde) > np.abs(c_tilde).sum(axis=1))
+    if dominant or _cholesky_succeeds(c_tilde):
+        return NoiseModel(c_tilde=c_tilde, factor=c_tilde.copy())
     evals, evecs = np.linalg.eigh(c_tilde)
     trace = np.trace(c_tilde)
     if evals.min() < -1e-6 * max(trace, 0.0):
@@ -110,6 +121,14 @@ def build_noise_covariance(covariance_fn, grid):
         )
     factor = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     return NoiseModel(c_tilde=c_tilde, factor=factor)
+
+
+def _cholesky_succeeds(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def gaussian_covariance(length, amplitude=1.0):
@@ -187,20 +206,20 @@ def simulate_euler(config, coeffs, basis, noise=None):
     contracted = np.zeros((grid.n_frames, source.shape[1]))
     contracted[: n_lags + 1] = traj[:, : n_lags + 1].T @ source
 
-    eps = None
+    mixed = None
     if noise is not None:
-        rng = np.random.default_rng(config.seed)
-        eps = rng.standard_normal((d, n_steps))
-    sqdt = np.sqrt(grid.dt)
+        eps = np.random.default_rng(config.seed).standard_normal((d, n_steps))
+        mixed = (noise.factor @ eps) * np.sqrt(grid.dt)
 
     for k in range(n_steps):
         f = n_lags + k
         window = (basis.int_l.T @ contracted[k : k + n_lags]).ravel()
         drift = s_vec[:, k] + cells @ (beta @ window) + h_vec * traj[:, f]
         nxt = traj[:, f] + drift * grid.dt
-        if eps is not None:
-            nxt = nxt + (noise.factor @ eps[:, k]) * sqdt
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > BLOWUP_THRESHOLD:
+        if mixed is not None:
+            nxt = nxt + mixed[:, k]
+        # also true for NaN, which fails every comparison
+        if not np.abs(nxt).max() <= BLOWUP_THRESHOLD:
             raise DivergenceError(f"simulation diverged at step {k}", step=k)
         traj[:, f + 1] = nxt
         np.matmul(nxt, source, out=contracted[f + 1])

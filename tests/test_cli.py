@@ -203,8 +203,11 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_window_too_large_for_the_noise_names_its_keys(self, tmp_path, capsys):
-        path = write_config(tmp_path, x_hi="1e300")
+    @pytest.mark.parametrize("noise", ["none", "white", "gaussian"])
+    def test_window_too_large_for_the_noise_names_its_keys(self, tmp_path, capsys, noise):
+        # the cell area's square overflows; with no noise the stimulus alone
+        # would blow up at step 0
+        path = write_config(tmp_path, x_hi="1e300", noise=noise)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: [grid] x_lo, x_hi,"), lines

@@ -62,8 +62,34 @@ class TestNoiseCovariance:
             # anti-correlation larger than the variance
             return np.where((np.asarray(u) == 0) & (np.asarray(v) == 0), 0.1, -1.0)
 
-        with pytest.raises(InvalidCovarianceError):
+        with pytest.raises(InvalidCovarianceError, match="min eigenvalue -0.1"):
             build_noise_covariance(bad, grid)
+
+    # 0.05 is short enough for a diagonally dominant matrix, 0.75 is not
+    @pytest.mark.parametrize("length, choleskys", [(0.05, []), (0.75, [(12, 12)])])
+    def test_positive_definite_covariance_is_its_own_mixer(self, monkeypatch, length, choleskys):
+        grid = Grid(n_x=4, n_y=3, n_steps=4, n_lags=1, dt=0.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a positive definite covariance was eigendecomposed")
+
+        cholesky, calls = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        noise = build_noise_covariance(gaussian_covariance(length, 0.5), grid)
+        assert calls == choleskys
+        assert np.array_equal(noise.factor, noise.c_tilde)
+        assert not np.shares_memory(noise.factor, noise.c_tilde)
+
+    def test_singular_covariance_takes_the_clipped_eigendecomposition(self, monkeypatch):
+        # the fully correlated limit: every entry equal, rank one
+        grid = Grid(n_x=3, n_y=2, n_steps=4, n_lags=1, dt=0.1)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        noise = build_noise_covariance(gaussian_covariance(1e300), grid)
+        assert calls == [(6, 6)]
+        assert np.allclose(noise.factor @ noise.factor.T, noise.c_tilde.T @ noise.c_tilde,
+                           atol=1e-15)
 
     def test_factor_is_psd_square_root_of_increment_covariance(self):
         grid = Grid(n_x=2, n_y=2, n_steps=4, n_lags=1, dt=0.1)
@@ -173,6 +199,18 @@ class TestEuler:
         with pytest.raises(DivergenceError) as err:
             simulate_euler(cfg, coeffs, basis)
         assert err.value.step is not None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_state_diverges_at_step_0(self, value):
+        grid = Grid(n_x=2, n_y=2, n_steps=4, n_lags=1, dt=0.1)
+        basis = indicator_basis(grid)
+        state = np.zeros((2, 2))
+        state[1, 0] = value
+        cfg = SimConfig(grid=grid, seed=0, initial_state=state)
+        # inf times the zero entries of the bases is NaN, with a warning
+        with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+            simulate_euler(cfg, DriftCoefficients.zeros(basis), basis)
+        assert err.value.step == 0
 
     def test_shape_validation(self, rng):
         grid = Grid(n_x=2, n_y=2, n_steps=4, n_lags=2, dt=0.1)
