@@ -2,9 +2,9 @@
 
 Every command reads one configuration file and writes its artifacts under
 the configured output directory together with a manifest (run id, seed,
-config hash, versions).  Runs are deterministic: the same configuration
-produces byte-identical artifacts.  Exit codes: 0 success, 2 usage or
-configuration error, 3 numerical failure.
+config hash, versions) that lists exactly those files.  Runs are
+deterministic: the same configuration produces byte-identical artifacts.
+Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .arrays import read_dta1, write_dta1
 from .bases import DriftCoefficients, stimulus_frames
-from .config import load_config, make_basis, make_grid, make_solver_options, stimulus_weights
+from .config import load_config, make_basis, make_solver_options, stimulus_weights
 from .design import build_design, naive_var_parameter_count
 from .errors import ConfigError, DivergenceError, FieldnetError, ShapeError
 from .simulate import (
@@ -46,20 +46,66 @@ from .summary import (
 )
 
 
-def _write_manifest(out_dir, command, cfg, outputs):
-    run_id = hashlib.sha256(cfg.raw + command.encode()).hexdigest()[:12]
+def _write_csv(path, header, columns):
+    """One row per entry of the broadcast columns, in row-major order, with
+    the bytes :mod:`csv` writes (numbers and plain header names need no
+    quoting).  Each column is formatted once at its own shape (``str`` of
+    its Python numbers) and then broadcast, so an index or coordinate
+    column in ``np.ix_`` form costs one string per value."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    cells = []
+    for column in columns:
+        text = np.array(list(map(str, np.ravel(column).tolist())), dtype=object)
+        cells.append(np.broadcast_to(text.reshape(np.shape(column)), shape).ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
+
+
+def _write_outputs(out_dir, command, cfg, files):
+    """Write a command's files and then its manifest, whose ``outputs``
+    list exactly these files and the manifest itself.
+
+    ``files`` maps a path relative to ``out_dir`` to its value, written by
+    the path's suffix: an array as DTA1, a ``(header, columns)`` table as
+    CSV, a document as JSON.
+    """
     manifest = {
         "command": command,
-        "run_id": run_id,
+        "run_id": hashlib.sha256(cfg.raw + command.encode()).hexdigest()[:12],
         "seed": cfg.seed,
         "config_sha256": cfg.sha256(),
         "fieldnet_version": __version__,
         "numpy_version": np.__version__,
-        "outputs": sorted([*outputs, "manifest.json"]),
+        "outputs": sorted([*files, "manifest.json"]),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
+    for parent in {(out_dir / name).parent for name in files}:
+        parent.mkdir(parents=True, exist_ok=True)
+    for name, value in {**files, "manifest.json": manifest}.items():
+        if name.endswith(".dta1"):
+            write_dta1(out_dir / name, value)
+        elif name.endswith(".csv"):
+            _write_csv(out_dir / name, *value)
+        else:
+            (out_dir / name).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def _read_input(path, shape, what):
+    """Read a DTA1 input; a wrong shape or a NaN/inf entry is a
+    :class:`ConfigError` naming the file."""
+    a = read_dta1(path)
+    if a.shape != shape:
+        raise ConfigError(f"{path}: {what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{path}: {what} contains non-finite values (NaN or inf)")
+    return a
+
+
+def _coefficient_files(coeffs, prefix):
+    """The coefficient blocks as files ``{prefix}{name}.dta1``, with the
+    rank-one factors when the stimulus has them."""
+    blocks = dict(zip(("alpha", "beta", "gamma", "zeta", "eta"),
+                      (*coeffs.arrays(), coeffs.zeta, coeffs.eta)))
+    return {f"{prefix}{name}.dta1": a for name, a in blocks.items() if a is not None}
 
 
 def _generate_truth(cfg, basis, rng):
@@ -96,22 +142,14 @@ def _noise_model(cfg, grid):
 def cmd_simulate(cfg, out_dir):
     if "simulate" not in cfg.explicit:
         raise ConfigError("missing required sections: simulate")
-    grid = make_grid(cfg)
     basis = make_basis(cfg)
+    grid = basis.grid
     rng = np.random.default_rng(cfg.seed)
     truth = _generate_truth(cfg, basis, rng)
     noise = _noise_model(cfg, grid)
     data = simulate_euler(SimConfig(grid=grid, seed=cfg.seed), truth, basis, noise)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {"data.dta1": data, "truth_alpha.dta1": truth.alpha,
-               "truth_beta.dta1": truth.beta, "truth_gamma.dta1": truth.gamma}
-    if truth.zeta is not None:
-        outputs["truth_zeta.dta1"] = truth.zeta
-        outputs["truth_eta.dta1"] = truth.eta
-    for name, arr in outputs.items():
-        write_dta1(out_dir / name, arr)
-    _write_manifest(out_dir, "simulate", cfg, outputs)
+    _write_outputs(out_dir, "simulate", cfg,
+                   {"data.dta1": data, **_coefficient_files(truth, "truth_")})
     print(f"simulated {grid.n_x}x{grid.n_y}x{grid.n_frames} field -> {out_dir}")
     return 0
 
@@ -155,24 +193,15 @@ def build_report(result, basis, grid):
     }
 
 
-def _write_fit_artifacts(out_dir, result, suffix=""):
-    outputs = []
-    for i, fit in enumerate(result.fits):
-        sub = out_dir / f"lambda{suffix}_{i:02d}"
-        sub.mkdir(parents=True, exist_ok=True)
-        blocks = dict(zip(("alpha", "beta", "gamma"), fit.coeffs.arrays()))
-        if fit.coeffs.zeta is not None:
-            blocks["zeta"] = fit.coeffs.zeta
-            blocks["eta"] = fit.coeffs.eta
-        for name, arr in blocks.items():
-            write_dta1(sub / f"{name}.dta1", arr)
-            outputs.append(f"{sub.name}/{name}.dta1")
-    return outputs
+def _level_files(result, suffix=""):
+    """Each penalty level's coefficient blocks under ``lambda{suffix}_{i:02d}/``."""
+    return {name: a for i, fit in enumerate(result.fits)
+            for name, a in _coefficient_files(fit.coeffs, f"lambda{suffix}_{i:02d}/").items()}
 
 
 def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
-    grid = make_grid(cfg)
     basis = make_basis(cfg)
+    grid = basis.grid
     pen_cfg = cfg.sections["penalty"]
     n_lambdas = pen_cfg["n_lambdas"]
     if lambda_index is None:
@@ -185,19 +214,10 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
         data_path = cfg.get("io", "data")
         if data_path is None:
             raise ConfigError("[io] data: no data file given (flag --data or config key)")
-    data = read_dta1(data_path)
-    if data.shape != (grid.n_x, grid.n_y, grid.n_frames):
-        raise ConfigError(
-            f"data shape {data.shape} does not match grid "
-            f"({grid.n_x}, {grid.n_y}, {grid.n_frames})"
-        )
-    if not np.isfinite(data).all():
-        raise ConfigError(f"{data_path}: data contain non-finite values (NaN or inf)")
+    data = _read_input(data_path, (grid.n_x, grid.n_y, grid.n_frames), "data tensor")
     # a support score needs the truth: check it before the fit, not after
-    truth = None if truth_beta is None else read_dta1(truth_beta)
-    if truth is not None and truth.shape != basis.coef_shapes["network"]:
-        raise ConfigError(f"{truth_beta}: network truth has shape {truth.shape}, "
-                          f"expected {basis.coef_shapes['network']}")
+    truth = (None if truth_beta is None
+             else _read_input(truth_beta, basis.coef_shapes["network"], "network truth"))
     design = build_design(data, basis)
     opts = make_solver_options(cfg)
     stim_w = stimulus_weights(cfg, basis)
@@ -210,15 +230,12 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
                 if cfg.sections["solver"]["mrce"] else None)
         result = fit_block_relaxation(design, penalty, options=opts) if mrce is None else mrce.second
     except DivergenceError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        note = {"status": "diverged", "error": str(exc)}
-        (out_dir / "report.json").write_text(json.dumps(note, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out_dir, "fit", cfg, ["report.json"])
+        _write_outputs(out_dir, "fit", cfg,
+                       {"report.json": {"status": "diverged", "error": str(exc)}})
         raise
     elapsed = time.perf_counter() - started
     _warn_unconverged(result, opts)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_fit_artifacts(out_dir, result)
+    files = _level_files(result)
     report = build_report(result, basis, grid)
     if mrce is not None:
         _warn_unconverged(mrce.first, opts, label="first-round lambda index")
@@ -226,9 +243,8 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             print(f"warning: graphical lasso did not converge within "
                   f"{mrce.precision.n_sweeps} sweeps (dual gap {mrce.precision.dual_gap:.3g})",
                   file=sys.stderr)
-        outputs += _write_fit_artifacts(out_dir, mrce.first, suffix="_unweighted")
-        write_dta1(out_dir / "omega.dta1", mrce.precision.omega)
-        outputs.append("omega.dta1")
+        files.update(_level_files(mrce.first, suffix="_unweighted"))
+        files["omega.dta1"] = mrce.precision.omega
         report["mrce"] = {
             "lambda_index": mrce.lambda_index,
             "precision_nonzero": mrce.precision.n_nonzero,
@@ -248,32 +264,16 @@ def cmd_fit(cfg, data_path, out_dir, lambda_index=None, truth_beta=None):
             f"recall {scores[best]['recall']:.3f}, "
             f"false positive rate {scores[best]['false_positive_rate']:.3f}"
         )
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    outputs.append("report.json")
-    _write_manifest(out_dir, "fit", cfg, outputs)
+    files["report.json"] = report
+    _write_outputs(out_dir, "fit", cfg, files)
     print(f"fitted {len(result.fits)} penalty levels -> {out_dir}", file=sys.stderr)
     print(f"wall clock: {elapsed:.2f}s", file=sys.stderr)
     return 0
 
 
-def _write_csv(path, header, columns):
-    """One row per entry of the broadcast columns, in row-major order, with
-    the bytes :mod:`csv` writes (numbers and plain header names need no
-    quoting).  Each column is formatted once at its own shape (``str`` of
-    its Python numbers) and then broadcast, so an index or coordinate
-    column in ``np.ix_`` form costs one string per value."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-    cells = []
-    for column in columns:
-        text = np.array(list(map(str, np.ravel(column).tolist())), dtype=object)
-        cells.append(np.broadcast_to(text.reshape(np.shape(column)), shape).ravel().tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
-
-
 def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
-    grid = make_grid(cfg)
     basis = make_basis(cfg)
+    grid = basis.grid
     fit_dir = Path(fit_dir)
     report_path = fit_dir / "report.json"
     if not report_path.exists():
@@ -286,16 +286,9 @@ def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
         raise ConfigError(f"{report_path}: not a fit report ({exc!r})") from exc
     if not sub.exists():
         raise ConfigError(f"missing fit artifacts: {sub}")
-    blocks = []
-    for name, shape in zip(("alpha", "beta", "gamma"), basis.coef_shapes.values()):
-        path = sub / f"{name}.dta1"
-        block = read_dta1(path)
-        if block.shape != shape:
-            raise ConfigError(f"{path}: coefficients have shape {block.shape}, expected {shape}")
-        if not np.isfinite(block).all():
-            raise ConfigError(f"{path}: coefficients contain non-finite values (NaN or inf)")
-        blocks.append(block)
-    coeffs = DriftCoefficients(*blocks)
+    coeffs = DriftCoefficients(*(_read_input(sub / f"{name}.dta1", shape, "coefficient block")
+                                 for name, shape in zip(("alpha", "beta", "gamma"),
+                                                        basis.coef_shapes.values())))
     beta = coeffs.beta
 
     eps = default_epsilon(beta, basis)  # one max pass, shared by both grid summaries
@@ -324,10 +317,7 @@ def cmd_summarize(cfg, fit_dir, out_dir, lambda_index=None):
         "stimulus.csv": (["x_index", "y_index", "t", "value"],
                          [ki, kj, grid.model_times[k], stim]),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, columns) in tables.items():
-        _write_csv(out_dir / name, header, columns)
-    _write_manifest(out_dir, "summarize", cfg, tables)
+    _write_outputs(out_dir, "summarize", cfg, tables)
     print(f"summaries for lambda index {idx} -> {out_dir}")
     return 0
 

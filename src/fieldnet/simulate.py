@@ -69,6 +69,10 @@ class SimConfig:
             raise ShapeError(
                 f"initial state has shape {state.shape}, expected {(g.n_x, g.n_y)}"
             )
+        # checked before any contraction, where an inf would warn first
+        for name, arr in (("history", hist), ("initial state", state)):
+            if not np.isfinite(arr).all():
+                raise DivergenceError(f"simulation diverged at step 0: non-finite {name}", step=0)
         return hist, state
 
 

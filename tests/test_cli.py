@@ -52,6 +52,13 @@ def tree_digest(root):
     return out
 
 
+def assert_manifest_lists_its_directory(out):
+    """The manifest's ``outputs`` are exactly the files under ``out``."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert sorted(manifest["outputs"]) == files
+
+
 class TestConfig:
     @pytest.mark.parametrize("seed", [1.7, "1.7", True])
     def test_non_integral_int_rejected(self, tmp_path, seed):
@@ -157,6 +164,7 @@ class TestSimulateCommand:
         assert manifest["config_sha256"] == cfg.sha256()
         for name in ("truth_alpha.dta1", "truth_beta.dta1", "truth_gamma.dta1"):
             assert (out / name).exists()
+        assert_manifest_lists_its_directory(out)
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -296,6 +304,22 @@ class TestFitAndSummarize:
         for fitrec in report["fits"]:
             trace = np.asarray(fitrec["objective_trace"])
             assert (np.diff(trace) <= 1e-12 * np.maximum(1, np.abs(trace[:-1]))).all()
+
+    def test_manifests_list_exactly_their_directories(self, pipeline, tmp_path):
+        sim, fit, summ = pipeline
+        for out in pipeline:
+            assert_manifest_lists_its_directory(out)
+        # the precision round adds the first round's levels and omega
+        mrce_fit, mrce_summ = tmp_path / "fit", tmp_path / "summary"
+        config = str(mrce_config(tmp_path, 2))
+        assert main(["fit", "--config", config, "--data", str(sim / "data.dta1"),
+                     "--out", str(mrce_fit)]) == 0
+        assert main(["summarize", "--config", config, "--fit", str(mrce_fit),
+                     "--out", str(mrce_summ)]) == 0
+        assert (mrce_fit / "omega.dta1").exists()
+        assert (mrce_fit / "lambda_unweighted_00" / "beta.dta1").exists()
+        for out in (mrce_fit, mrce_summ):
+            assert_manifest_lists_its_directory(out)
 
     def test_summaries_row_counts(self, pipeline):
         _, _, summ = pipeline
@@ -573,14 +597,20 @@ class TestFitInputErrors:
 
     def test_wrongly_shaped_truth_exits_2_before_fitting(self, pipeline, tmp_path, capsys):
         sim, _, _ = pipeline
-        truth = tmp_path / "truth.dta1"
-        write_dta1(truth, np.zeros((3, 3, 3, 3)))
-        out = tmp_path / "o"
-        code = main(["fit", "--config", str(QUICKSTART), "--data", str(sim / "data.dta1"),
-                     "--out", str(out), "--truth-beta", str(truth)])
-        assert code == 2
-        assert_single_error_line(capsys)
-        assert not out.exists()
+        finite = read_dta1(sim / "truth_beta.dta1")
+        cases = {"shape": np.zeros((3, 3, 3, 3)), "nan": finite.copy(), "inf": finite.copy()}
+        cases["nan"].flat[0] = np.nan
+        cases["inf"].flat[-1] = -np.inf
+        for name, values in cases.items():
+            truth = tmp_path / f"{name}.dta1"
+            write_dta1(truth, values)
+            out = tmp_path / f"o_{name}"
+            capsys.readouterr()
+            code = main(["fit", "--config", str(QUICKSTART), "--data", str(sim / "data.dta1"),
+                         "--out", str(out), "--truth-beta", str(truth)])
+            assert code == 2, name
+            assert_single_error_line(capsys, prefix=f"error: {truth}: ")
+            assert not out.exists(), name
 
     @pytest.mark.parametrize("raw", list(MALFORMED_DTA1.values()), ids=list(MALFORMED_DTA1))
     def test_malformed_data_file_exits_2(self, tmp_path, capsys, raw):
@@ -599,6 +629,23 @@ class TestFitInputErrors:
                      "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
         assert_single_error_line(capsys, prefix="numerical failure: ")
+
+    def test_diverged_fit_leaves_a_note(self, tmp_path, capsys):
+        frames = np.zeros((6, 6, 84))
+        frames[:, :, 40:] = 1e200
+        bad = tmp_path / "diverging.dta1"
+        write_dta1(bad, frames)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["fit", "--config", str(QUICKSTART), "--data", str(bad), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+        note = json.loads((out / "report.json").read_text())
+        assert note == {"status": "diverged", "error": err[0].removeprefix("numerical failure: ")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["manifest.json", "report.json"]
+        assert_manifest_lists_its_directory(out)
 
     @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()],
                              ids=["numpy-message", "bare"])

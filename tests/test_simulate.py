@@ -200,15 +200,19 @@ class TestEuler:
             simulate_euler(cfg, coeffs, basis)
         assert err.value.step is not None
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_initial_state_diverges_at_step_0(self, value):
+    @pytest.mark.parametrize("field,value", [
+        ("initial_state", np.nan), ("initial_state", np.inf),
+        ("history", np.nan), ("history", np.inf),
+    ], ids=["nan", "inf", "history-nan", "history-inf"])
+    def test_non_finite_initial_state_diverges_at_step_0(self, field, value):
         grid = Grid(n_x=2, n_y=2, n_steps=4, n_lags=1, dt=0.1)
         basis = indicator_basis(grid)
-        state = np.zeros((2, 2))
-        state[1, 0] = value
-        cfg = SimConfig(grid=grid, seed=0, initial_state=state)
-        # inf times the zero entries of the bases is NaN, with a warning
-        with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        start = np.zeros((2, 2) if field == "initial_state" else (2, 2, 1))
+        start[1, 0] = value
+        cfg = SimConfig(grid=grid, seed=0, **{field: start})
+        # under the suite's error::RuntimeWarning filter, an inf that reached
+        # a contraction would raise its warning instead
+        with pytest.raises(DivergenceError) as err:
             simulate_euler(cfg, DriftCoefficients.zeros(basis), basis)
         assert err.value.step == 0
 
