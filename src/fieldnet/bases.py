@@ -130,24 +130,20 @@ def _antiderivative_parts(spec):
     return scale, ext
 
 
-def integrate_bspline_basis(spec, intervals):
-    """Exact integrals of every basis function over each interval.
+def integrate_bspline_basis(spec, edges):
+    """Exact integrals of every basis function between consecutive edges.
 
-    Entry ``(i, q)`` is the integral of function ``q`` over interval
-    ``i``; intervals must lie inside the domain.
+    Entry ``(i, q)`` is the integral of function ``q`` from ``edges[i]`` to
+    ``edges[i + 1]``; the edges must be non-decreasing and lie inside the
+    domain.
     """
-    lo, hi = spec.domain
-    ivals = [(float(a), float(b)) for a, b in intervals]
-    for a, b in ivals:
-        if a < lo or b > hi or b < a:
-            raise DomainError(f"interval [{a}, {b}] outside basis domain [{lo}, {hi}]")
+    edges = np.asarray(edges, dtype=np.float64)
+    if (np.diff(edges) < 0).any():
+        raise DomainError("integration edges must be non-decreasing")
     scale, ext = _antiderivative_parts(spec)
-    endpoints = sorted({a for a, _ in ivals} | {b for _, b in ivals})
-    ext_vals = eval_bspline_basis(ext, endpoints)
     # Tail sums over the extended basis give the cumulative integrals.
-    tails = np.cumsum(ext_vals[:, ::-1], axis=1)[:, ::-1]
-    cum = {x: tails[i, 1 : spec.n_basis + 1] * scale for i, x in enumerate(endpoints)}
-    return np.array([cum[b] - cum[a] for a, b in ivals])
+    tails = np.cumsum(eval_bspline_basis(ext, edges)[:, ::-1], axis=1)[:, ::-1]
+    return np.diff(tails[:, 1 : spec.n_basis + 1] * scale, axis=0)
 
 
 # -- Discretization grid ------------------------------------------------------
@@ -204,14 +200,12 @@ class Grid:
         return self.y_range[0] + (np.arange(self.n_y) + 0.5) * self.dy
 
     @property
-    def x_cells(self):
-        edges = self.x_range[0] + np.arange(self.n_x + 1) * self.dx
-        return list(zip(edges[:-1], edges[1:]))
+    def x_edges(self):
+        return np.linspace(*self.x_range, self.n_x + 1)
 
     @property
-    def y_cells(self):
-        edges = self.y_range[0] + np.arange(self.n_y + 1) * self.dy
-        return list(zip(edges[:-1], edges[1:]))
+    def y_edges(self):
+        return np.linspace(*self.y_range, self.n_y + 1)
 
     @property
     def duration(self):
@@ -226,13 +220,13 @@ class Grid:
         return np.arange(self.n_steps) * self.dt
 
     @property
-    def lag_intervals(self):
-        edges = np.arange(-self.n_lags, 1) * self.dt
-        return list(zip(edges[:-1], edges[1:]))
+    def lag_edges(self):
+        return np.arange(-self.n_lags, 1) * self.dt
 
     @property
     def lag_midpoints(self):
-        return np.array([(a + b) / 2 for a, b in self.lag_intervals])
+        edges = self.lag_edges
+        return (edges[:-1] + edges[1:]) / 2
 
     @property
     def n_frames(self):
@@ -330,9 +324,9 @@ def build_basis_set(grid, spec_x, spec_y, spec_t, spec_l, stim_onset=None):
         phi_x=eval_bspline_basis(spec_x, grid.x_centers),
         phi_y=eval_bspline_basis(spec_y, grid.y_centers),
         phi_t=phi_t,
-        int_x=integrate_bspline_basis(spec_x, grid.x_cells),
-        int_y=integrate_bspline_basis(spec_y, grid.y_cells),
-        int_l=integrate_bspline_basis(spec_l, grid.lag_intervals),
+        int_x=integrate_bspline_basis(spec_x, grid.x_edges),
+        int_y=integrate_bspline_basis(spec_y, grid.y_edges),
+        int_l=integrate_bspline_basis(spec_l, grid.lag_edges),
     )
 
 
@@ -351,6 +345,9 @@ def default_basis_set(
 
     The lag basis has degree ``degree_lag``, by default ``degree_time``.
     """
+    if stim_onset is not None and not stim_onset < grid.duration:
+        raise ValueError(f"stim_onset {stim_onset} is not before the end of the modeled "
+                         f"time, n_steps * dt = {grid.duration}")
     lo_t = 0.0 if stim_onset is None else float(stim_onset)
     degree_lag = degree_time if degree_lag is None else degree_lag
     return build_basis_set(

@@ -173,7 +173,6 @@ def weight_density(beta, basis, eps=None):
     ``DENSITY_VALUE_BINS`` equal value bins.
     """
     grid = basis.grid
-    delay_edges = np.arange(-grid.n_lags, 1) * grid.dt
     if eps is None:
         eps = default_epsilon(beta, basis)
 
@@ -191,7 +190,7 @@ def weight_density(beta, basis, eps=None):
     # lag l is delay bin l
     counts = np.array(_map_lags(lambda w: np.histogram(kept(w), value_edges)[0], beta, basis))
     return WeightDensity(
-        delay_edges=delay_edges,
+        delay_edges=grid.lag_edges,
         value_edges=value_edges,
         counts=counts,
         n_excluded=grid.n_lags * grid.n_pixels**2 - sum(n_kept),

@@ -150,9 +150,9 @@ def quadrature_weight_entry(coeffs, basis, m, n, i, j, l, n_space=40, n_lag=40):
     """Simpson quadrature of w over one target cell x lag interval at a
     fixed source grid point."""
     g = basis.grid
-    xs, wxs = _simpson_weights(*g.x_cells[m], n_space)
-    ys, wys = _simpson_weights(*g.y_cells[n], n_space)
-    ls, wls = _simpson_weights(*g.lag_intervals[l], n_lag)
+    xs, wxs = _simpson_weights(*g.x_edges[m : m + 2], n_space)
+    ys, wys = _simpson_weights(*g.y_edges[n : n + 2], n_space)
+    ls, wls = _simpson_weights(*g.lag_edges[l : l + 2], n_lag)
     bx = eval_bspline_basis(basis.spec_x, xs)
     by = eval_bspline_basis(basis.spec_y, ys)
     bl = eval_bspline_basis(basis.spec_l, ls)

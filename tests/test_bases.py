@@ -93,28 +93,28 @@ class TestEvaluation:
 class TestIntegration:
     def test_degree_zero_single_span(self):
         spec = BSplineSpec(0, (0.0, 1.0, 2.0, 3.0))
-        got = integrate_bspline_basis(spec, [(1.0, 2.0)])
+        got = integrate_bspline_basis(spec, [1.0, 2.0])
         assert np.array_equal(got, [[0.0, 1.0, 0.0]])
 
     def test_partition_additivity(self, rng):
         spec = uniform_bspline_spec(2, 6, 0.0, 1.0)
         cuts = np.sort(rng.uniform(0, 1, 3))
         edges = [0.0, *cuts, 1.0]
-        parts = integrate_bspline_basis(spec, list(zip(edges[:-1], edges[1:])))
-        whole = integrate_bspline_basis(spec, [(0.0, 1.0)])
+        parts = integrate_bspline_basis(spec, edges)
+        whole = integrate_bspline_basis(spec, [0.0, 1.0])
         assert np.allclose(parts.sum(axis=0), whole[0], atol=1e-13)
 
     def test_quadrature_oracle(self):
         spec = uniform_bspline_spec(2, 7, 0.0, 2.0)
-        intervals = [(0.0, 0.3), (0.3, 1.7), (1.7, 2.0)]
-        got = integrate_bspline_basis(spec, intervals)
-        for row, (a, b) in zip(got, intervals):
+        edges = [0.0, 0.3, 1.7, 2.0]
+        got = integrate_bspline_basis(spec, edges)
+        for row, a, b in zip(got, edges[:-1], edges[1:]):
             ref = trapezoid_integral(spec, a, b)
             assert np.abs(row - ref).max() < 1e-8
 
     def test_linearity_on_columns(self, rng):
         spec = uniform_bspline_spec(2, 6, 0.0, 1.0)
-        table = integrate_bspline_basis(spec, [(0.2, 0.9)])[0]
+        table = integrate_bspline_basis(spec, [0.2, 0.9])[0]
         c1, c2 = rng.standard_normal(2)
         combined = c1 * table[1] + c2 * table[3]
         # integral of a linear combination equals the combination of integrals
@@ -126,7 +126,54 @@ class TestIntegration:
     def test_interval_outside_domain(self):
         spec = uniform_bspline_spec(1, 3, 0.0, 1.0)
         with pytest.raises(DomainError):
-            integrate_bspline_basis(spec, [(0.5, 1.5)])
+            integrate_bspline_basis(spec, [0.5, 1.5])
+        with pytest.raises(DomainError):
+            integrate_bspline_basis(spec, [-0.1, 0.5])
+
+    def test_decreasing_edges_rejected(self):
+        spec = uniform_bspline_spec(1, 3, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            integrate_bspline_basis(spec, [0.0, 0.6, 0.4, 1.0])
+
+    def test_repeated_edge_gives_a_zero_row(self):
+        spec = uniform_bspline_spec(2, 5, 0.0, 1.0)
+        got = integrate_bspline_basis(spec, [0.0, 0.3, 0.3, 1.0])
+        assert np.array_equal(got[1], np.zeros(spec.n_basis))
+        assert np.allclose(got.sum(axis=0), integrate_bspline_basis(spec, [0.0, 1.0])[0],
+                           rtol=0, atol=1e-15)
+
+
+# Windows whose last cell edge, computed as lo + n * dx, rounds past hi.
+INEXACT_WINDOWS = [(0.1, 1.0, 7), (0.0, 3.3, 25), (0.0, 0.1, 11)]
+
+
+class TestGridEdges:
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("lo,hi,n", INEXACT_WINDOWS)
+    def test_cells_end_exactly_at_the_window(self, axis, lo, hi, n):
+        sizes = {"n_x": 4, "n_y": 4, f"n_{axis}": n}
+        ranges = {"x_range": (0.0, 1.0), "y_range": (0.0, 1.0), f"{axis}_range": (lo, hi)}
+        grid = Grid(n_steps=6, n_lags=2, dt=0.1, **sizes, **ranges)
+        basis = default_basis_set(grid, 5, 5, 4, 3, degree_space=2, degree_time=2)
+        edges = getattr(grid, f"{axis}_edges")
+        assert edges.shape == (n + 1,)
+        assert edges[0] == lo and edges[-1] == hi
+        cells = getattr(basis, f"int_{axis}")
+        whole = integrate_bspline_basis(getattr(basis, f"spec_{axis}"), [lo, hi])[0]
+        assert np.allclose(cells.sum(axis=0), whole, rtol=1e-14, atol=0)
+
+    def test_lag_midpoints_halve_the_lag_edges(self):
+        grid = small_grid()
+        edges = grid.lag_edges
+        assert np.array_equal(edges, [-0.2, -0.1, 0.0])
+        assert np.array_equal(grid.lag_midpoints, (edges[:-1] + edges[1:]) / 2)
+
+    @pytest.mark.parametrize("after_end", [0.0, 0.4])
+    def test_stim_onset_at_or_after_the_end_names_its_key(self, after_end):
+        grid = small_grid()
+        with pytest.raises(ValueError, match=rf"stim_onset .* n_steps \* dt = {grid.duration}"):
+            default_basis_set(grid, 3, 3, 4, 3, degree_space=1, degree_time=2,
+                              stim_onset=grid.duration + after_end)
 
 
 class TestBasisSet:

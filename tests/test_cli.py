@@ -211,6 +211,27 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_window_whose_cell_edges_round_past_its_end_runs(self, tmp_path):
+        # 0.1 + 7 * (0.9 / 7) rounds to 1.0000000000000002, past x_hi
+        path = write_config(tmp_path, x_lo="0.1", x_hi="1.0", n_x="7")
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
+        assert main(["fit", "--config", str(path), "--data", str(sim / "data.dta1"),
+                     "--out", str(fit)]) == 0
+        assert main(["summarize", "--config", str(path), "--fit", str(fit),
+                     "--out", str(tmp_path / "summary")]) == 0
+        assert make_grid(load_config(path)).x_edges[-1] == 1.0
+
+    @pytest.mark.parametrize("onset", ["4.0", "10.0"])
+    def test_stim_onset_at_or_after_the_end_names_its_key(self, tmp_path, capsys, onset):
+        # quickstart models n_steps * dt = 80 * 0.05 = 4.0
+        path = tmp_path / "onset.ini"
+        path.write_text(QUICKSTART.read_text().replace(
+            "degree_lag = 1", f"degree_lag = 1\nstim_onset = {onset}"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert_single_error_line(capsys, f"error: [basis]: stim_onset {float(onset)} is not "
+                                         f"before the end of the modeled time, n_steps * dt = 4.0")
+
     @pytest.mark.parametrize("noise", ["none", "white", "gaussian"])
     def test_window_too_large_for_the_noise_names_its_keys(self, tmp_path, capsys, noise):
         # the cell area's square overflows; with no noise the stimulus alone

@@ -175,6 +175,11 @@ class TestWeightDensity:
         assert int(dens.counts.sum()) == want
         assert dens.n_excluded == w5.size - want
 
+    def test_delay_bins_are_the_grid_lag_cells(self, rng):
+        grid, basis = summary_basis()
+        dens = weight_density(sparse_beta(rng, basis), basis)
+        assert np.array_equal(dens.delay_edges, grid.lag_edges)
+
 
 def many_lag_basis(degree=1, n_lags=2 * LAG_CHUNK + 3):
     """A 4x4 grid with more lags than two chunks and a lag basis of its own
